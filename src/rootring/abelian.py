@@ -85,11 +85,6 @@ class FinAbGroup:
         """All elements in lexicographic order.  Mind the group order."""
         return itertools.product(*(range(d) for d in self.orders))
 
-    def element_order(self, a):
-        if not self.orders:
-            return 1
-        return lcm(*(d // gcd(x, d) for x, d in zip(a, self.orders)))
-
     def invariant_factors(self):
         """Canonical invariant factor chain, for isomorphism-type tests."""
         if not self.orders:
@@ -330,10 +325,6 @@ class GroupChart:
     coords: object
 
 
-def subgroup_equal(a, b):
-    return a == b
-
-
 def _present_quotient(k, rel_rows):
     """Present Z^k / <rel_rows> (a finite group: the rows must have full
     rank, e.g. by containing multiples of every e_i).
@@ -455,10 +446,6 @@ class TensorGroup:
 
     def __repr__(self):
         return "TensorGroup(%r (x) %r)" % (self.left, self.right)
-
-
-def tensor_z(A, B):
-    return TensorGroup(A, B)
 
 
 class DirectSum:

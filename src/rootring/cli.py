@@ -38,7 +38,8 @@ from .commrel import (check_K_linear, check_firm_rel, check_idempotent_rel,
 from .coordinatize import (connecting_hom, firm_coordinatize,
                            reduced_coordinatize,
                            verify_associativity_patterns)
-from .corpus import grouped_entry, morita_entry, standard_corpus
+from .corpus import (grouped_entry, is_full_idempotent, morita_entry,
+                     standard_corpus)
 from .errors import (BoundExceeded, FileFormatError, InternalAlarm,
                      InvalidParams, MathCheckFailed, PreconditionFailed,
                      RankTooSmall, RootRingError)
@@ -48,7 +49,6 @@ from .glgroup import perfectness_and_center, verify_steinberg
 from .rings import (FinRing, check_predicates, collapse_rank, find_unit,
                     is_firm, is_idempotent, is_reduced, mat_ring,
                     reduced_quotient, universal_ring)
-from .abelian import Subgroup
 
 SCHEMA = "rootring-report/1"
 
@@ -482,12 +482,6 @@ def cmd_roundtrip(args, timestamp):
 
 # -- verify-lemmas ----------------------------------------------------------------
 
-def _ideal_is_full(R, e):
-    G = R.additive
-    gens = [R.mul(R.mul(g, e), h) for g in G.gens() for h in G.gens()]
-    return Subgroup(G, gens).is_full()
-
-
 def _suite_full_idem(R):
     """Unital rings: the three predicates agree with each other and with
     fullness of every diagonal idempotent."""
@@ -505,7 +499,7 @@ def _suite_full_idem(R):
             "orthogonal family"
     pr = check_predicates(R)
     preds = (pr.idempotent, pr.firm, pr.reduced)
-    full = all(_ideal_is_full(R, e) for e in idems)
+    full = all(is_full_idempotent(R, e) for e in idems)
     ok = len(set(preds)) == 1 and preds[0] == full
     return ok, "idempotent=%r firm=%r reduced=%r full=%r" % (preds + (full,))
 

@@ -10,11 +10,12 @@ condition on tensor squares (firm), and a faithful bracket action
 (reduced).
 """
 
+from itertools import islice, product
 from typing import NamedTuple
 
-from .abelian import AbHom, DirectSum, Subgroup, subgroup_equal, tensor_z
+from .abelian import AbHom, DirectSum, Subgroup, TensorGroup
 from .errors import PreconditionFailed
-from .rings import _clean_table, bilinear_apply
+from .rings import _clean_table, bilinear_apply, nonassociative_triples
 
 
 class Root(NamedTuple):
@@ -111,27 +112,12 @@ class CommRelData:
                               self.modules[(i, k)])
 
     def associativity_failures(self, limit=1):
-        out = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                for k in range(self.rank):
-                    for m in range(self.rank):
-                        if len({i, j, k, m}) != 4:
-                            continue
-                        for x in self.module(i, j).gens():
-                            for y in self.module(j, k).gens():
-                                for z in self.module(k, m).gens():
-                                    lhs = self.cvalue(
-                                        i, k, m,
-                                        self.cvalue(i, j, k, x, y), z)
-                                    rhs = self.cvalue(
-                                        i, j, m, x,
-                                        self.cvalue(j, k, m, y, z))
-                                    if lhs != rhs:
-                                        out.append((i, j, k, m, x, y, z))
-                                        if len(out) >= limit:
-                                            return out
-        return out
+        quads = [q for q in product(range(self.rank), repeat=4)
+                 if len(set(q)) == 4]
+        bad = nonassociative_triples(quads, self.module, self.cvalue)
+        return [(i, j, k, m, self.module(i, j).gen(a),
+                 self.module(j, k).gen(b), self.module(k, m).gen(c))
+                for (i, j, k, m), (a, b, c) in islice(bad, limit)]
 
     def __eq__(self, other):
         return (isinstance(other, CommRelData)
@@ -192,8 +178,8 @@ def _firm_quadruple(D, i, j, k, l):
     """
     Uij, Ujk, Ukl = D.module(i, j), D.module(j, k), D.module(k, l)
     Uik, Ukj, Ujl = D.module(i, k), D.module(k, j), D.module(j, l)
-    T1 = tensor_z(Uij, Ujl)
-    T2 = tensor_z(Uik, Ukl)
+    T1 = TensorGroup(Uij, Ujl)
+    T2 = TensorGroup(Uik, Ukl)
     amb = DirectSum([T1.group, T2.group])
     cols = [D.cvalue(i, j, l, Uij.gen(p), Ujl.gen(q))
             for (p, q) in T1.pairs]
@@ -234,7 +220,7 @@ def check_firm_rel(D):
                     if len({i, j, k, l}) != 4:
                         continue
                     kernel, image, _ = _firm_quadruple(D, i, j, k, l)
-                    if not subgroup_equal(kernel, image):
+                    if kernel != image:
                         culprit = next(
                             (row for row in kernel.basis()
                              if not image.contains(row)),

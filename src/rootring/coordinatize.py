@@ -15,15 +15,17 @@ an exact computation with finite abelian groups.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
-from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, induced_map,
-                      quotient, subgroup_equal, tensor_z)
+from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
+                      induced_map, quotient)
 from .commrel import (check_firm_rel, check_K_linear, check_reduced_rel,
                       extract)
 from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
                      NotHomomorphism, NotWellDefined, PreconditionFailed,
                      RankTooSmall)
-from .rings import PeirceHom, PeirceRing, check_predicates
+from .rings import (PeirceHom, PeirceRing, PredicateReport, _is_reduced_given,
+                    is_firm, is_idempotent, nonassociative_triples)
 from .smith import kernel_mod, solve_mod
 
 
@@ -54,8 +56,8 @@ def relation_subgroup(D, s, i, j):
     """
     if len({s, i, j}) != 3:
         raise IndexClash("indices must be distinct, got %r" % ((s, i, j),))
-    Ti = tensor_z(D.module(s, i), D.module(i, s))
-    Tj = tensor_z(D.module(s, j), D.module(j, s))
+    Ti = TensorGroup(D.module(s, i), D.module(i, s))
+    Tj = TensorGroup(D.module(s, j), D.module(j, s))
     amb = DirectSum([Ti.group, Tj.group])
     gens = []
     for a, b in _relation_pairs(D, s, i, j, Ti, Tj):
@@ -98,7 +100,7 @@ def _diagonal_presentation(D, s, order=None):
             raise ValueError("summand order for %d must be a permutation "
                              "of the other indices, got %r" % (s, order))
         idxs = list(order)
-    tens = {i: tensor_z(D.module(s, i), D.module(i, s)) for i in idxs}
+    tens = {i: TensorGroup(D.module(s, i), D.module(i, s)) for i in idxs}
     amb = DirectSum([tens[i].group for i in idxs])
     pos = {i: t for t, i in enumerate(idxs)}
     gens = []
@@ -285,23 +287,27 @@ class CoordinatizationResult:
 
 
 def _finish(D, mode, blocks, tables, diagonals, certificates):
+    """Certify the rebuilt ring: one associativity pass, bucketed by index
+    pattern, then the idempotent predicate and the mode's own predicate.
+    The other predicate is left as None in the report."""
     ring = PeirceRing(D.rank, D.modulus, blocks, tables, check=False)
-    bad = ring.associativity_failures(limit=1)
-    if bad:
-        raise InternalAlarm("rebuilt multiplication is not associative",
-                            witness=bad[0])
     patterns = verify_associativity_patterns(ring)
     if not patterns.ok:
         raise InternalAlarm("an associativity index pattern fails on the "
                             "rebuilt ring",
                             witness=sorted(patterns.failing())[0])
-    report = check_predicates(ring)
+    found = {"idempotent": is_idempotent(ring), "firm": (None, None),
+             "reduced": (None, None)}
+    found[mode] = (is_firm(ring) if mode == "firm"
+                   else _is_reduced_given(ring, found["idempotent"]))
     for name in ("idempotent", mode):
-        if not getattr(report, name):
+        ok, wit = found[name]
+        if not ok:
             raise InternalAlarm("rebuilt ring fails the %s predicate" % name,
-                                witness=getattr(report, name + "_witness"))
+                                witness=wit)
     certificates["associativity_patterns"] = patterns
-    certificates["predicates"] = report
+    certificates["predicates"] = PredicateReport(
+        *found["idempotent"], *found["firm"], *found["reduced"])
     return CoordinatizationResult(ring=ring, mode=mode, diagonals=diagonals,
                                   certificates=certificates)
 
@@ -478,7 +484,7 @@ def _endo_certificates(D, endo):
                             D, s, endo.others, endo.slots, endo.ambient,
                             i, j, x, y, z))
     full = Subgroup(endo.ambient.group, all_gens)
-    if not subgroup_equal(endo.span, full):
+    if endo.span != full:
         raise InternalAlarm("the base pair does not span the diagonal "
                             "block", witness=(s, endo.base_pair))
     Q = endo.chart.group
@@ -798,27 +804,12 @@ def verify_associativity_patterns(R, failure_limit=3):
                 for name in HYPOTHESIS_PATTERNS}
     for name in DERIVED_PATTERNS:
         patterns[name] = {"kind": "derived", "checked": 0, "failures": []}
-    for i in range(R.rank):
-        for j in range(R.rank):
-            Gij = R.blocks[(i, j)]
-            for k in range(R.rank):
-                Gjk = R.blocks[(j, k)]
-                for l in range(R.rank):
-                    Gkl = R.blocks[(k, l)]
-                    entry = patterns[_pattern_name((i, j, k, l))]
-                    for a in range(Gij.dim):
-                        x = Gij.gen(a)
-                        for b in range(Gjk.dim):
-                            y = Gjk.gen(b)
-                            xy = R.block_mul(i, j, k, x, y)
-                            for c in range(Gkl.dim):
-                                z = Gkl.gen(c)
-                                lhs = R.block_mul(i, k, l, xy, z)
-                                rhs = R.block_mul(i, j, l, x,
-                                                  R.block_mul(j, k, l, y, z))
-                                entry["checked"] += 1
-                                if lhs != rhs:
-                                    if len(entry["failures"]) < failure_limit:
-                                        entry["failures"].append(
-                                            ((i, j, k, l), (a, b, c)))
+    quads = list(product(range(R.rank), repeat=4))
+    for i, j, k, l in quads:
+        patterns[_pattern_name((i, j, k, l))]["checked"] += (
+            R.blocks[(i, j)].dim * R.blocks[(j, k)].dim * R.blocks[(k, l)].dim)
+    for quad, abc in nonassociative_triples(quads, R.block, R.block_mul):
+        failures = patterns[_pattern_name(quad)]["failures"]
+        if len(failures) < failure_limit:
+            failures.append((quad, abc))
     return PatternReport(patterns=patterns)

@@ -96,12 +96,13 @@ def standard_corpus():
     return entries
 
 
+def is_full_idempotent(R, e):
+    """Whether R e R = R, computed from products of generators."""
+    G = R.additive
+    gens = [R.mul(R.mul(x, e), y) for x in G.gens() for y in G.gens()]
+    return Subgroup(G, gens).is_full()
+
+
 def fullness_of_idempotents(entry):
-    """For a unital source ring: whether every idempotent is full, that is
-    R e_i R = R.  Computed directly from products of generators."""
-    R, G = entry.source, entry.source.additive
-    for e in entry.idems:
-        gens = [R.mul(R.mul(x, e), y) for x in G.gens() for y in G.gens()]
-        if not Subgroup(G, gens).is_full():
-            return False
-    return True
+    """For a unital source ring: whether every idempotent is full."""
+    return all(is_full_idempotent(entry.source, e) for e in entry.idems)

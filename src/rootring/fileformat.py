@@ -197,15 +197,6 @@ def read_ring(path):
     return load_ring(_read(path))
 
 
-def read_commrel(path):
-    return load_commrel(_read(path))
-
-
 def write_ring(R, path):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(dump_ring(R))
-
-
-def write_commrel(D, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_commrel(D))

@@ -14,14 +14,14 @@ biadditivity.
 """
 
 from dataclasses import dataclass
+from itertools import islice, product
 from math import gcd, lcm
 
-from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, induced_map,
-                      quotient, tensor_z)
-from .errors import (BlockMismatch, IndexClash, InternalAlarm, MathCheckFailed,
-                     ModuleNotFirm, NotIdempotent, NotIdempotentFamily,
-                     NotWellDefined, PairingNotSurjective, PreconditionFailed,
-                     RankTooSmall)
+from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
+                      induced_map, quotient)
+from .errors import (BlockMismatch, InternalAlarm, ModuleNotFirm,
+                     NotIdempotent, NotIdempotentFamily, PairingNotSurjective,
+                     PreconditionFailed, RankTooSmall)
 from .smith import solve_mod
 
 
@@ -34,6 +34,45 @@ def bilinear_apply(table, x, y, target):
             for i, w in enumerate(v):
                 acc[i] += c * w
     return target.reduce(acc)
+
+
+def nonassociative_triples(quads, block, mul):
+    """Yield ((i, j, k, l), (a, b, c)) for every generator triple on which
+    (xy)z and x(yz) differ.
+
+    For each block-index quadruple in `quads`, x, y and z run over the
+    generators of block(i, j), block(j, k) and block(k, l), and
+    mul(i, j, k, x, y) is the product block(i, j) x block(j, k) ->
+    block(i, k).  Generator triples decide associativity by biadditivity.
+    Rings, block rings, commutator data and module actions all check
+    associativity through this one walker.  Products of generator pairs
+    are computed once per index triple, since quadruples share them.
+    """
+    gens = {}
+    pairs = {}
+
+    def gens_of(i, j):
+        if (i, j) not in gens:
+            gens[(i, j)] = block(i, j).gens()
+        return gens[(i, j)]
+
+    def pair_products(i, j, k):
+        if (i, j, k) not in pairs:
+            pairs[(i, j, k)] = [[mul(i, j, k, x, y) for y in gens_of(j, k)]
+                                for x in gens_of(i, j)]
+        return pairs[(i, j, k)]
+
+    for i, j, k, l in quads:
+        xs, zs = gens_of(i, j), gens_of(k, l)
+        if not (xs and zs and gens_of(j, k)):
+            continue
+        xy, yz = pair_products(i, j, k), pair_products(j, k, l)
+        for a, x in enumerate(xs):
+            for b, xy_ab in enumerate(xy[a]):
+                yz_b = yz[b]
+                for c, z in enumerate(zs):
+                    if mul(i, k, l, xy_ab, z) != mul(i, j, l, x, yz_b[c]):
+                        yield (i, j, k, l), (a, b, c)
 
 
 def _clean_table(table, left, right, target, what="structure table"):
@@ -94,20 +133,10 @@ class FinRing:
         return bilinear_apply(self.table, x, y, self.additive)
 
     def associativity_failures(self, limit=1):
-        G = self.additive
-        out = []
-        for p in range(G.dim):
-            gp = G.gen(p)
-            for q in range(G.dim):
-                gq = G.gen(q)
-                pq = self.mul(gp, gq)
-                for r in range(G.dim):
-                    gr = G.gen(r)
-                    if self.mul(pq, gr) != self.mul(gp, self.mul(gq, gr)):
-                        out.append((p, q, r))
-                        if len(out) >= limit:
-                            return out
-        return out
+        bad = nonassociative_triples([(0, 0, 0, 0)],
+                                     lambda i, j: self.additive,
+                                     lambda i, j, k, x, y: self.mul(x, y))
+        return [abc for _quad, abc in islice(bad, limit)]
 
     @classmethod
     def zmod(cls, n):
@@ -293,29 +322,9 @@ class PeirceRing:
         return Subgroup(self.ds.group, [self.embed(i, j, g) for g in G.gens()])
 
     def associativity_failures(self, limit=1):
-        out = []
-        l = self.rank
-        for i in range(l):
-            for j in range(l):
-                Gij = self.blocks[(i, j)]
-                for k in range(l):
-                    Gjk = self.blocks[(j, k)]
-                    for m in range(l):
-                        Gkm = self.blocks[(k, m)]
-                        for a in range(Gij.dim):
-                            ga = Gij.gen(a)
-                            for b in range(Gjk.dim):
-                                ab = self.block_mul(i, j, k, ga, Gjk.gen(b))
-                                for c in range(Gkm.dim):
-                                    gc = Gkm.gen(c)
-                                    lhs = self.block_mul(i, j, m, ga,
-                                                         self.block_mul(j, k, m, Gjk.gen(b), gc))
-                                    rhs = self.block_mul(i, k, m, ab, gc)
-                                    if lhs != rhs:
-                                        out.append((i, j, k, m, a, b, c))
-                                        if len(out) >= limit:
-                                            return out
-        return out
+        bad = nonassociative_triples(product(range(self.rank), repeat=4),
+                                     self.block, self.block_mul)
+        return [quad + abc for quad, abc in islice(bad, limit)]
 
     def __repr__(self):
         sizes = [[self.blocks[(i, j)].order for j in range(self.rank)]
@@ -401,6 +410,18 @@ def peirce_from_idempotents(R, idems):
 # -- modules and balanced tensor products ------------------------------------
 
 
+def _first_action_failure(module, quad):
+    """The first generator triple on which a module action fails to
+    associate, or None.  The module group is block (0, 1) or (1, 0) and
+    the ring block (0, 0) or (1, 1) of a two-index grid, so the right
+    action checks quad (0, 1, 1, 1) and the left one (0, 0, 0, 1)."""
+    ring = module.ring
+    bad = nonassociative_triples(
+        [quad], lambda i, j: module.group if i != j else ring.additive,
+        lambda i, j, k, x, y: ring.mul(x, y) if i == k else module.act(x, y))
+    return next((abc for _quad, abc in bad), None)
+
+
 class RightModule:
     """Right module over a FinRing, with a generator-pair action table."""
 
@@ -412,18 +433,10 @@ class RightModule:
         self.table = _clean_table(table, group, ring.additive, group,
                                   what="right action")
         if check:
-            for a in range(group.dim):
-                ga = group.gen(a)
-                for s in range(ring.additive.dim):
-                    gs = ring.additive.gen(s)
-                    for t in range(ring.additive.dim):
-                        gt = ring.additive.gen(t)
-                        lhs = self.act(self.act(ga, gs), gt)
-                        rhs = self.act(ga, ring.mul(gs, gt))
-                        if lhs != rhs:
-                            raise ValueError(
-                                "right action not associative at %r"
-                                % ((a, s, t),))
+            bad = _first_action_failure(self, (0, 1, 1, 1))
+            if bad:
+                raise ValueError("right action not associative at %r"
+                                 % (bad,))
 
     def act(self, m, s):
         return bilinear_apply(self.table, m, s, self.group)
@@ -440,17 +453,10 @@ class LeftModule:
         self.table = _clean_table(table, ring.additive, group, group,
                                   what="left action")
         if check:
-            for s in range(ring.additive.dim):
-                gs = ring.additive.gen(s)
-                for t in range(ring.additive.dim):
-                    gt = ring.additive.gen(t)
-                    st = ring.mul(gs, gt)
-                    for a in range(group.dim):
-                        ga = group.gen(a)
-                        if self.act(st, ga) != self.act(gs, self.act(gt, ga)):
-                            raise ValueError(
-                                "left action not associative at %r"
-                                % ((s, t, a),))
+            bad = _first_action_failure(self, (0, 0, 0, 1))
+            if bad:
+                raise ValueError("left action not associative at %r"
+                                 % (bad,))
 
     def act(self, s, n):
         return bilinear_apply(self.table, s, n, self.group)
@@ -471,7 +477,7 @@ class RelTensor:
         self.left = left
         self.right = right
         M, N = left.group, right.group
-        self.tensor = tensor_z(M, N)
+        self.tensor = TensorGroup(M, N)
         T = self.tensor.group
         rels = []
         for a in range(M.dim):
@@ -500,12 +506,6 @@ class RelTensor:
                                 self.right.group.gen(j)))
         f = AbHom(self.tensor.group, target, cols)
         return induced_map(f, self.quot)
-
-
-def tensor_over_ring(left, right):
-    """Balanced tensor product of a RightModule and a LeftModule over the
-    same FinRing."""
-    return RelTensor(left, right)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -537,10 +537,6 @@ class PredicateReport:
     reduced: bool
     reduced_witness: object
 
-    def summary(self):
-        return {"idempotent": self.idempotent, "firm": self.firm,
-                "reduced": self.reduced}
-
 
 def is_idempotent(R):
     """R_ij R_jk = R_ik for all i, j, k; returns (ok, witness)."""
@@ -560,8 +556,7 @@ def is_idempotent(R):
 def firm_pairing_hom(R, i, j, k):
     """The multiplication map R_ij tensor_{R_jj} R_jk -> R_ik, as an AbHom
     from the balanced tensor, plus the tensor itself."""
-    t = tensor_over_ring(_block_right_module(R, i, j),
-                         _block_left_module(R, j, k))
+    t = RelTensor(_block_right_module(R, i, j), _block_left_module(R, j, k))
     h = t.induced_hom(R.blocks[(i, k)],
                       lambda x, y: R.block_mul(i, j, k, x, y))
     return t, h
@@ -579,46 +574,54 @@ def is_firm(R):
     return True, None
 
 
-def two_sided_annihilator(R):
-    """Subgroup of elements x with x R = R x = 0 (total coordinates).
+def _annihilator_blocks(R):
+    """{(i, j): the elements x of R_ij with x R = R x = 0}.
 
-    x annihilates R exactly when it annihilates every additive generator,
-    so the answer is the intersection of one small kernel per generator
-    and side; intersecting incrementally keeps each linear solve at
-    ambient size instead of stacking all constraints into one system.
+    x g lies in R_ik for g in R_jk and g x in R_kj for g in R_ki, so the
+    products of a sum of block elements with one block generator land in
+    distinct blocks, and the two-sided annihilator is the direct sum of one
+    kernel per block: that of x |-> (x gens(R_jk), gens(R_ki) x for all k).
     """
-    from .smith import kernel_mod
-    G = R.additive
-    ann = Subgroup(G, G.gens())
-    for q in range(G.dim):
-        gq = G.gen(q)
-        for mul in (lambda x: R.mul(x, gq), lambda x: R.mul(gq, x)):
-            cols = [mul(g) for g in G.gens()]
-            A = [[cols[t][i] for t in range(G.dim)] for i in range(G.dim)]
-            ker = kernel_mod(A, list(G.orders), width=G.dim)
-            ann = ann.intersect(Subgroup(G, [G.reduce(v) for v in ker]))
-            if ann.is_trivial():
-                return ann
-    return ann
+    l = R.rank
+    out = {}
+    for (i, j), G in R.blocks.items():
+        right = [(k, g) for k in range(l) for g in R.blocks[(j, k)].gens()]
+        left = [(k, g) for k in range(l) for g in R.blocks[(k, i)].gens()]
+        ds = DirectSum([R.blocks[(i, k)] for k, _g in right]
+                       + [R.blocks[(k, j)] for k, _g in left])
+        cols = [ds.assemble([R.block_mul(i, j, k, x, g) for k, g in right]
+                            + [R.block_mul(k, i, j, g, x) for k, g in left])
+                for x in G.gens()]
+        out[(i, j)] = AbHom(G, ds.group, cols).kernel()
+    return out
 
 
-def is_reduced(R):
-    """Idempotent with trivial two-sided annihilator; returns (ok, witness)."""
-    ok, wit = is_idempotent(R)
+def two_sided_annihilator(R):
+    """Subgroup of elements x with x R = R x = 0 (total coordinates)."""
+    parts = _annihilator_blocks(R)
+    return Subgroup(R.additive, [R.embed(i, j, v) for (i, j), ann in
+                                 parts.items() for v in ann.basis()])
+
+
+def _is_reduced_given(R, idempotent):
+    """is_reduced(R) once idempotent = is_idempotent(R) is known."""
+    ok, wit = idempotent
     if not ok:
         return False, ("not idempotent", wit)
     ann = two_sided_annihilator(R)
     if not ann.is_trivial():
-        for b in ann.basis():
-            return False, ("annihilator element", b)
+        return False, ("annihilator element", ann.basis()[0])
     return True, None
 
 
+def is_reduced(R):
+    """Idempotent with trivial two-sided annihilator; returns (ok, witness)."""
+    return _is_reduced_given(R, is_idempotent(R))
+
+
 def check_predicates(R):
-    idem, idem_w = is_idempotent(R)
-    firm, firm_w = is_firm(R)
-    red, red_w = is_reduced(R)
-    return PredicateReport(idem, idem_w, firm, firm_w, red, red_w)
+    idem = is_idempotent(R)
+    return PredicateReport(*idem, *is_firm(R), *_is_reduced_given(R, idem))
 
 
 # -- structural constructions -------------------------------------------------
@@ -738,19 +741,16 @@ def morita_ring(R, P, Q, pairing):
     def pair(q, p):
         return bilinear_apply(pairing, q, p, R.additive)
 
-    # R-linearity of the pairing on generators
-    for s in range(R.additive.dim):
-        gs = R.additive.gen(s)
-        for a in range(Q.group.dim):
-            qa = Q.group.gen(a)
-            for b in range(P.group.dim):
-                pb = P.group.gen(b)
-                if pair(Q.act(gs, qa), pb) != R.mul(gs, pair(qa, pb)):
-                    raise PreconditionFailed(
-                        "pairing is not left R-linear at %r" % ((s, a, b),))
-                if pair(qa, P.act(pb, gs)) != R.mul(pair(qa, pb), gs):
-                    raise PreconditionFailed(
-                        "pairing is not right R-linear at %r" % ((a, b, s),))
+    # R-linearity of the pairing on generators is associativity of the
+    # triples (s, q, p) and (q, p, s) in the context ring, R at index 1
+    grid = {(1, 1): R.additive, (1, 0): Q.group, (0, 1): P.group}
+    muls = {(1, 1, 0): Q.act, (1, 0, 1): pair, (1, 1, 1): R.mul,
+            (0, 1, 1): P.act}
+    for quad, abc in nonassociative_triples(
+            [(1, 1, 0, 1), (1, 0, 1, 1)], lambda i, j: grid[(i, j)],
+            lambda i, j, k, x, y: muls[(i, j, k)](x, y)):
+        raise PreconditionFailed("pairing is not %s R-linear at %r" % (
+            "left" if quad == (1, 1, 0, 1) else "right", abc))
     if not Subgroup(R.additive,
                     [v for v in pairing.values()]).is_full():
         raise PairingNotSurjective("pairing values do not span R")
@@ -763,17 +763,17 @@ def morita_ring(R, P, Q, pairing):
     # firmness of R and of both modules
     r_right = RightModule(R.additive, R, R.table, check=False)
     r_left = LeftModule(R.additive, R, R.table, check=False)
-    t = tensor_over_ring(r_right, r_left)
+    t = RelTensor(r_right, r_left)
     if not t.induced_hom(R.additive, R.mul).is_isomorphism():
         raise ModuleNotFirm("the coefficient ring is not firm")
-    tp = tensor_over_ring(P, r_left)
+    tp = RelTensor(P, r_left)
     if not tp.induced_hom(P.group, P.act).is_isomorphism():
         raise ModuleNotFirm("P tensor R -> P is not an isomorphism")
-    tq = tensor_over_ring(r_right, Q)
+    tq = RelTensor(r_right, Q)
     if not tq.induced_hom(Q.group, Q.act).is_isomorphism():
         raise ModuleNotFirm("R tensor Q -> Q is not an isomorphism")
 
-    S = tensor_over_ring(P, Q)
+    S = RelTensor(P, Q)
 
     def s_decompose(u):
         """Tensor coordinates of a representative of u in P (x) Q."""
@@ -919,7 +919,7 @@ def universal_ring(R):
     col_mods = {j: LeftModule(cols[j][0].group, total, left_table(j),
                               check=False) for j in range(l)}
 
-    tens = {(i, j): tensor_over_ring(row_mods[i], col_mods[j])
+    tens = {(i, j): RelTensor(row_mods[i], col_mods[j])
             for i in range(l) for j in range(l)}
 
     blocks = {ij: tens[ij].group for ij in tens}
@@ -982,26 +982,10 @@ def reduced_quotient(R):
     ok, wit = is_idempotent(R)
     if not ok:
         raise NotIdempotent("ring is not idempotent at blocks %r" % (wit,))
-    ann = two_sided_annihilator(R)
     l = R.rank
-    parts = {}
-    rejoined = Subgroup(R.additive, [])
-    for i in range(l):
-        for j in range(l):
-            inter = ann.intersect(R.block_subgroup(i, j))
-            parts[(i, j)] = inter
-            rejoined = rejoined.join(inter)
-    if rejoined != ann:
-        raise InternalAlarm("annihilator is not homogeneous across blocks")
-
-    quots = {}
-    blocks = {}
-    for (i, j), inter in parts.items():
-        local = Subgroup(R.blocks[(i, j)],
-                         [R.project(i, j, v) for v in inter.basis()])
-        q = quotient(R.blocks[(i, j)], local)
-        quots[(i, j)] = q
-        blocks[(i, j)] = q.group
+    quots = {ij: quotient(R.blocks[ij], ann)
+             for ij, ann in _annihilator_blocks(R).items()}
+    blocks = {ij: q.group for ij, q in quots.items()}
 
     tables = {}
     for i in range(l):

@@ -12,7 +12,7 @@ def xgcd(a, b):
     >>> xgcd(12, 18)
     (6, -1, 1)
     >>> xgcd(0, 0)
-    (0, 0, 0)
+    (0, 1, 0)
     """
     old_r, r = a, b
     old_s, s = 1, 0
@@ -31,10 +31,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(A, B):
     n = len(B)
     assert all(len(row) == n for row in A)
@@ -47,10 +43,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, x):
     return [sum(r * c for r, c in zip(row, x)) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def smith_normal_form(M, transforms="UVuv"):

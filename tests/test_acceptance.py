@@ -26,7 +26,7 @@ import pytest
 
 from oracles import (balanced_tensor_oracle, quasi_inverse_oracle,
                      tensor_oracle)
-from rootring.abelian import FinAbGroup, tensor_z
+from rootring.abelian import FinAbGroup, TensorGroup
 from rootring.cli import main as cli_main
 from rootring.commrel import (CommRelData, check_firm_rel,
                               check_idempotent_rel, check_reduced_rel,
@@ -40,11 +40,10 @@ from rootring.errors import NotQuasiInvertible
 from rootring.fileformat import write_ring
 from rootring.glgroup import (elementary_subgroup, perfectness_and_center,
                               quasi_inverse, transvection, verify_steinberg)
-from rootring.rings import (FinRing, PeirceRing, _block_left_module,
+from rootring.rings import (FinRing, PeirceRing, RelTensor, _block_left_module,
                             _block_right_module, check_predicates,
                             collapse_rank, is_firm, is_reduced, mat_ring,
-                            reduced_quotient, tensor_over_ring,
-                            universal_ring)
+                            reduced_quotient, universal_ring)
 
 
 _CONSOLE = None
@@ -249,7 +248,7 @@ def test_oracle_equivalence():
             A, B = _random_group(rng), _random_group(rng)
             if A.order * B.order > 1024:
                 continue
-            T = tensor_z(A, B)
+            T = TensorGroup(A, B)
             O = tensor_oracle(A, B)
             assert T.group.invariant_factors() == O.group.invariant_factors()
             for _ in range(4):
@@ -272,7 +271,7 @@ def test_oracle_equivalence():
                             continue
                         left = _block_right_module(R, i, j)
                         right = _block_left_module(R, j, k)
-                        got = tensor_over_ring(left, right)
+                        got = RelTensor(left, right)
                         want = balanced_tensor_oracle(
                             M, N, list(S.elements()),
                             left.act, right.act)

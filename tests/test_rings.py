@@ -1,15 +1,18 @@
+from itertools import product
+
 import pytest
 
 from oracles import balanced_tensor_oracle
 from rootring.abelian import AbHom, FinAbGroup
 from rootring.errors import (InternalAlarm, NotIdempotent,
                              NotIdempotentFamily, PreconditionFailed)
-from rootring.rings import (FinRing, LeftModule, PeirceRing, RightModule,
-                            check_predicates, collapse_rank, find_unit,
-                            is_firm, is_idempotent, is_reduced, mat_ring,
-                            morita_ring, peirce_from_idempotents,
-                            reduced_quotient, tensor_over_ring,
-                            two_sided_annihilator, universal_ring)
+from rootring.rings import (FinRing, LeftModule, PeirceRing, RelTensor,
+                            RightModule, check_predicates, collapse_rank,
+                            find_unit, is_firm, is_idempotent, is_reduced,
+                            mat_ring, morita_ring, peirce_from_idempotents,
+                            reduced_quotient, two_sided_annihilator,
+                            universal_ring)
+from rootring.rings import _annihilator_blocks, _is_reduced_given
 
 
 def test_zmod():
@@ -128,12 +131,89 @@ def test_annihilator():
     assert zero_mult.mul(G.gen(0), G.gen(1)) == G.zero
 
 
+def _annihilated_extra(plain, blk):
+    """`plain` with an extra Z/2 generator appended to block `blk`, all of
+    whose products are zero."""
+    n = plain.modulus
+    blocks = dict(plain.blocks)
+    blocks[blk] = FinAbGroup([n, 2])
+    tables = {(i, j, k): {ab: v + (0,) if (i, k) == blk else v
+                          for ab, v in tab.items()}
+              for (i, j, k), tab in plain.tables.items()}
+    return PeirceRing(plain.rank, n, blocks, tables)
+
+
+def _annihilator_oracle(rank, n, blk):
+    """Every element of Mat_rank(Z/n) + Z/2 (the extra generator sitting
+    after e_blk) that kills each generator from both sides, by enumeration,
+    in the block ring's total coordinates."""
+    unit = {}
+    orders = []
+    for i, j in product(range(rank), repeat=2):
+        unit[(i, j)] = len(orders)
+        orders.append(n)
+        if (i, j) == blk:
+            orders.append(2)
+    # e_ij e_jk = e_ik; the extra generator appears in no product
+    table = {(unit[(i, j)], unit[(j, k)]): unit[(i, k)]
+             for i, j, k in product(range(rank), repeat=3)}
+
+    def mul(x, y):
+        out = [0] * len(orders)
+        for (p, q), r in table.items():
+            out[r] += x[p] * y[q]
+        return tuple(c % d for c, d in zip(out, orders))
+
+    zero = (0,) * len(orders)
+    gens = [tuple(int(t == g) for t in range(len(orders)))
+            for g in range(len(orders))]
+    return {x for x in product(*(range(d) for d in orders))
+            if all(mul(x, g) == zero == mul(g, x) for g in gens)}
+
+
+@pytest.mark.parametrize("rank, n, blk", [(3, 2, (0, 0)), (2, 4, (1, 0))])
+def test_annihilator_matches_element_oracle(rank, n, blk):
+    plain = mat_ring(rank, FinRing.zmod(n))
+    R = _annihilated_extra(plain, blk)
+    oracle = _annihilator_oracle(rank, n, blk)
+    assert len(oracle) == 2
+    assert set(two_sided_annihilator(R).elements()) == oracle
+    parts = _annihilator_blocks(R)
+    assert {ij: a.order() for ij, a in parts.items() if not a.is_trivial()} \
+        == {blk: 2}
+    # the blockwise quotient is the plain matrix ring, block by block
+    assert {ij: R.blocks[ij].order // a.order() for ij, a in parts.items()} \
+        == {ij: G.order for ij, G in plain.blocks.items()}
+    # the extra generator is no sum of products, so the ring is not
+    # idempotent: is_reduced stops at that gate and reduced_quotient
+    # refuses; past the gate the witness is the annihilating element
+    ok, wit = is_reduced(R)
+    assert not ok and wit[0] == "not idempotent"
+    ok, wit = _is_reduced_given(R, (True, None))
+    assert not ok and wit[0] == "annihilator element"
+    assert wit[1] in oracle and any(wit[1])
+    rep = check_predicates(R)
+    assert (rep.reduced, rep.reduced_witness) == is_reduced(R)
+    assert (rep.idempotent, rep.idempotent_witness) == is_idempotent(R)
+    with pytest.raises(NotIdempotent):
+        reduced_quotient(R)
+
+
+def test_module_actions_reject_nonassociative():
+    S = FinRing.direct_product(FinRing.zmod(2), FinRing.zmod(2))
+    # m e1 = m e2 = m, but e1 e2 = 0
+    with pytest.raises(ValueError, match="associative"):
+        RightModule(FinAbGroup([2]), S, {(0, 0): (1,), (0, 1): (1,)})
+    with pytest.raises(ValueError, match="associative"):
+        LeftModule(FinAbGroup([2]), S, {(0, 0): (1,), (1, 0): (1,)})
+
+
 def test_tensor_over_ring_examples():
     # Z/4 over itself: balanced tensor collapses back to Z/4
     S = FinRing.zmod(4)
     M = RightModule(S.additive, S, S.table)
     N = LeftModule(S.additive, S, S.table)
-    t = tensor_over_ring(M, N)
+    t = RelTensor(M, N)
     assert t.group.invariant_factors() == (4,)
     h = t.induced_hom(S.additive, S.mul)
     assert h.is_isomorphism()
@@ -141,7 +221,7 @@ def test_tensor_over_ring_examples():
     G2 = FinAbGroup([2])
     Mz = RightModule(G2, S, {})
     Nz = LeftModule(G2, S, {})
-    tz = tensor_over_ring(Mz, Nz)
+    tz = RelTensor(Mz, Nz)
     assert tz.group.invariant_factors() == (2,)
 
 
@@ -151,7 +231,7 @@ def test_tensor_over_ring_matches_element_oracle():
     from rootring.rings import _block_left_module, _block_right_module
     M = _block_right_module(R, i, j)
     N = _block_left_module(R, j, k)
-    t = tensor_over_ring(M, N)
+    t = RelTensor(M, N)
     oracle = balanced_tensor_oracle(
         M.group, N.group, list(M.ring.additive.elements()),
         M.act, N.act)
@@ -199,6 +279,21 @@ def test_morita_rejects_bad_pairing():
     Q = LeftModule(FinAbGroup([2]), R2, {(0, 0): (1,)})
     with pytest.raises(PairingNotSurjective):
         morita_ring(R2, P, Q, {})
+
+
+def test_morita_rejects_nonlinear_pairing():
+    S = FinRing.direct_product(FinRing.zmod(2), FinRing.zmod(2))
+    Q = LeftModule(FinAbGroup([2]), S, {(0, 0): (1,)})  # e1 q = q
+    # q p = e2 while e1 q = q and p e1 = p: linear on neither side
+    P = RightModule(FinAbGroup([2]), S, {(0, 0): (1,)})
+    with pytest.raises(PreconditionFailed,
+                       match=r"left R-linear at \(0, 0, 0\)"):
+        morita_ring(S, P, Q, {(0, 0): (0, 1)})
+    # q p = e1 with p e2 = p: left linear, but (q p) e1 != q (p e1) = 0
+    P = RightModule(FinAbGroup([2]), S, {(0, 1): (1,)})
+    with pytest.raises(PreconditionFailed,
+                       match=r"right R-linear at \(0, 0, 0\)"):
+        morita_ring(S, P, Q, {(0, 0): (1, 0)})
 
 
 def test_universal_ring_on_firm_input():
