@@ -33,10 +33,9 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .commrel import (check_K_linear, check_firm_rel, check_idempotent_rel,
-                      check_reduced_rel, extract)
-from .coordinatize import (connecting_hom, firm_coordinatize,
-                           reduced_coordinatize,
+from .commrel import (_firm_rel, _reduced_rel, check_K_linear,
+                      check_idempotent_rel, extract)
+from .coordinatize import (_construct, connecting_hom, rebuild_gates,
                            verify_associativity_patterns)
 from .corpus import (grouped_entry, is_full_idempotent, morita_entry,
                      standard_corpus)
@@ -46,9 +45,9 @@ from .errors import (BoundExceeded, FileFormatError, InternalAlarm,
 from .fileformat import dump_commrel, dump_ring, load_commrel, load_ring, \
     read_ring
 from .glgroup import perfectness_and_center, verify_steinberg
-from .rings import (FinRing, check_predicates, collapse_rank, find_unit,
-                    is_firm, is_idempotent, is_reduced, mat_ring,
-                    reduced_quotient, universal_ring)
+from .rings import (FinRing, _is_reduced_given, check_predicates,
+                    collapse_rank, find_unit, is_firm, is_idempotent,
+                    is_reduced, mat_ring, reduced_quotient, universal_ring)
 
 SCHEMA = "rootring-report/1"
 
@@ -137,6 +136,13 @@ class Reporter:
                      witness if witness is not None else note, seconds)
             self.worst = max(self.worst, 3)
 
+    def timed_flag(self, name, fn):
+        """Time a (bool, witness) predicate and flag it; returns both."""
+        t0 = time.perf_counter()
+        ok, wit = fn()
+        self.flag(name, ok, wit, seconds=time.perf_counter() - t0)
+        return ok, wit
+
     def soft(self, name, fn):
         """Run a suite returning (ok-or-None-for-skip, note); exceptions
         become fail rows but do not stop the remaining suites."""
@@ -218,16 +224,18 @@ def _kind_of(text):
     return head[0] if head else ""
 
 
-def _emit(args, text, rep, timestamp):
-    """Data-producing verbs: file to --output plus report to stdout, or
-    the data itself to stdout when no output path is given."""
-    if args.output:
+def _emit(args, text, rep=None, timestamp=None):
+    """Data-producing verbs: file to --output plus the report, if the verb
+    has one, to stdout, or the data itself to stdout when no output path
+    is given."""
+    if not args.output:
+        sys.stdout.write(text)
+    else:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
-        sys.stdout.write(rep.render(args.json, timestamp))
-    else:
-        sys.stdout.write(text)
-    return rep.worst
+        if rep is not None:
+            sys.stdout.write(rep.render(args.json, timestamp))
+    return 0 if rep is None else rep.worst
 
 
 # -- build ---------------------------------------------------------------------
@@ -303,22 +311,10 @@ def cmd_build(args):
         R = read_ring(params[0])
     else:
         raise InvalidParams("unknown build kind %r" % kind)
-    text = dump_ring(R)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, dump_ring(R))
 
 
 # -- check ---------------------------------------------------------------------
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
 
 def cmd_check(args, timestamp):
     raw = _read_bytes(args.input)
@@ -328,15 +324,12 @@ def cmd_check(args, timestamp):
         if _kind_of(text) == "commrel":
             D = rep.run("load", lambda: load_commrel(text),
                         lambda D: "rank=%d modulus=%d" % (D.rank, D.modulus))
-            (ok, wit), dt = _timed(lambda: check_K_linear(D))
-            rep.flag("k-linear", ok, wit, seconds=dt)
-            (ok, wit), dt = _timed(lambda: check_idempotent_rel(D))
-            rep.flag("idempotent-rel", ok, wit, seconds=dt)
+            rep.timed_flag("k-linear", lambda: check_K_linear(D))
+            ok, _ = rep.timed_flag("idempotent-rel",
+                                   lambda: check_idempotent_rel(D))
             if ok:
-                (ok2, wit2), dt = _timed(lambda: check_firm_rel(D))
-                rep.flag("firm-rel", ok2, wit2, seconds=dt)
-                (ok3, wit3), dt = _timed(lambda: check_reduced_rel(D))
-                rep.flag("reduced-rel", ok3, wit3, seconds=dt)
+                rep.timed_flag("firm-rel", lambda: _firm_rel(D))
+                rep.timed_flag("reduced-rel", lambda: _reduced_rel(D))
             else:
                 rep.add("firm-rel", "skip", "data is not idempotent")
                 rep.add("reduced-rel", "skip", "data is not idempotent")
@@ -344,10 +337,9 @@ def cmd_check(args, timestamp):
             R = rep.run("load", lambda: load_ring(text),
                         lambda R: "rank=%d modulus=%d order=%d"
                         % (R.rank, R.modulus, R.additive.order))
-            for name, fn in (("idempotent", is_idempotent),
-                             ("firm", is_firm), ("reduced", is_reduced)):
-                (ok, wit), dt = _timed(lambda fn=fn: fn(R))
-                rep.flag(name, ok, wit, seconds=dt)
+            idem = rep.timed_flag("idempotent", lambda: is_idempotent(R))
+            rep.timed_flag("firm", lambda: is_firm(R))
+            rep.timed_flag("reduced", lambda: _is_reduced_given(R, idem))
     except RootRingError:
         sys.stdout.write(rep.render(args.json, timestamp))
         raise
@@ -368,8 +360,7 @@ def cmd_extract(args, timestamp):
     D = rep.run("extract", lambda: extract(R),
                 lambda D: "%d modules, %d maps"
                 % (len(D.modules), len(D.cmaps)))
-    (ok, wit), dt = _timed(lambda: check_K_linear(D))
-    rep.flag("k-linear", ok, wit, seconds=dt)
+    rep.timed_flag("k-linear", lambda: check_K_linear(D))
     return _emit(args, dump_commrel(D), rep, timestamp)
 
 
@@ -390,40 +381,40 @@ def _load_data(rep, text):
     return None, D
 
 
+# rows certifying each construction: name, its verdicts read off the
+# certificates, and what one verdict counts
+_CERTIFICATE_ROWS = {
+    "firm": (("pair-quotient-bijective",
+              lambda c: c["pair_quotient_bijective"], "pairs"),),
+    "reduced": (("factor-injective",
+                 lambda c: {(s, k): ok
+                            for s, m in c["factor_injective"].items()
+                            for k, ok in m.items()},
+                 "factors"),
+                ("base-pair-spans", lambda c: c["base_pair_spans"],
+                 "blocks")),
+}
+
+
 def _rebuild(rep, D, mode):
-    """The predicate gates and the construction, with certificate rows.
-    Predicate failures exit 3; the rank gate exits 2."""
+    """The rebuild gates and the construction, with certificate rows.
+    The rank and k-linear gates exit 2, the data predicates 3."""
     def rank_gate():
         if D.rank < 4:
             raise RankTooSmall("rank >= 4 required, got %d" % D.rank)
         return D.rank
     rep.run("rank", rank_gate, lambda r: "rank=%d" % r)
-    rep.gate("k-linear", lambda: check_K_linear(D), exc=PreconditionFailed)
-    rep.gate("idempotent-rel", lambda: check_idempotent_rel(D))
-    if mode == "firm":
-        rep.gate("firm-rel", lambda: check_firm_rel(D))
-        res = rep.run("coordinatize-firm", lambda: firm_coordinatize(D),
-                      lambda res: "diagonal orders %r"
-                      % [res.ring.blocks[(s, s)].order
-                         for s in range(D.rank)])
-        certs = res.certificates["pair_quotient_bijective"]
-        rep.flag("pair-quotient-bijective", all(certs.values()),
-                 witness=sorted(k for k, v in certs.items() if not v),
-                 note="%d pairs" % len(certs))
-    else:
-        rep.gate("reduced-rel", lambda: check_reduced_rel(D))
-        res = rep.run("coordinatize-reduced",
-                      lambda: reduced_coordinatize(D),
-                      lambda res: "diagonal orders %r"
-                      % [res.ring.blocks[(s, s)].order
-                         for s in range(D.rank)])
-        inj = res.certificates["factor_injective"]
-        rep.flag("factor-injective",
-                 all(all(m.values()) for m in inj.values()),
-                 note="%d factors" % sum(len(m) for m in inj.values()))
-        spans = res.certificates["base_pair_spans"]
-        rep.flag("base-pair-spans", all(spans.values()),
-                 note="%d blocks" % len(spans))
+    for name, _prop, check in rebuild_gates(D, mode):
+        rep.gate(name, check, exc=PreconditionFailed if name == "k-linear"
+                 else MathCheckFailed)
+    res = rep.run("coordinatize-" + mode, lambda: _construct(D, mode),
+                  lambda res: "diagonal orders %r"
+                  % [res.ring.blocks[(s, s)].order for s in range(D.rank)])
+    for name, verdicts, unit in _CERTIFICATE_ROWS[mode]:
+        found = verdicts(res.certificates)
+        rep.flag(name, all(found.values()),
+                 witness=sorted(k for k, ok in found.items() if not ok),
+                 note="%d %s" % (len(found), unit))
     pat = res.certificates["associativity_patterns"]
     rep.flag("associativity-patterns", pat.ok,
              witness=sorted(pat.failing()),
@@ -577,16 +568,12 @@ def _suite_gl_roots(R):
         if not ok:
             return False, ("idempotent not carried over", wit)
         carried.append("idempotent")
-        if pr.firm:
-            ok, wit = check_firm_rel(D)
-            if not ok:
-                return False, ("firm not carried over", wit)
-            carried.append("firm")
-        if pr.reduced:
-            ok, wit = check_reduced_rel(D)
-            if not ok:
-                return False, ("reduced not carried over", wit)
-            carried.append("reduced")
+        for name, body in (("firm", _firm_rel), ("reduced", _reduced_rel)):
+            if getattr(pr, name):
+                ok, wit = body(D)
+                if not ok:
+                    return False, ("%s not carried over" % name, wit)
+                carried.append(name)
     return True, "carried over: %s" % (", ".join(carried) or "none apply")
 
 
@@ -606,16 +593,11 @@ def _roundtrip_suite(R, mode):
     if R.rank < 4:
         return None, "rank < 4"
     D = extract(R)
-    ok, _ = check_idempotent_rel(D)
-    if not ok:
-        return None, "data not idempotent"
-    pred = check_firm_rel if mode == "firm" else check_reduced_rel
-    ok, _ = pred(D)
-    if not ok:
-        return None, "data not %s" % mode
-    build = firm_coordinatize if mode == "firm" else reduced_coordinatize
-    res = build(D)
-    conn = connecting_hom(D, res, R)
+    for _name, prop, check in rebuild_gates(D, mode):
+        ok, _ = check()
+        if not ok:
+            return None, "data not %s" % prop
+    conn = connecting_hom(D, _construct(D, mode), R)
     if not conn.is_isomorphism:
         return False, sorted(k for k, v in conn.bijective.items()
                              if not v)

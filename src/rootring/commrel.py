@@ -10,7 +10,7 @@ condition on tensor squares (firm), and a faithful bracket action
 (reduced).
 """
 
-from itertools import islice, product
+from itertools import combinations, islice, permutations
 from typing import NamedTuple
 
 from .abelian import AbHom, DirectSum, Subgroup, TensorGroup
@@ -53,12 +53,6 @@ class Root(NamedTuple):
 
 def all_roots(rank):
     return [Root(i, j) for i in range(rank) for j in range(rank) if i != j]
-
-
-def _distinct_triples(rank):
-    return [(i, j, k)
-            for i in range(rank) for j in range(rank) for k in range(rank)
-            if i != j and j != k and i != k]
 
 
 class CommRelData:
@@ -112,9 +106,8 @@ class CommRelData:
                               self.modules[(i, k)])
 
     def associativity_failures(self, limit=1):
-        quads = [q for q in product(range(self.rank), repeat=4)
-                 if len(set(q)) == 4]
-        bad = nonassociative_triples(quads, self.module, self.cvalue)
+        bad = nonassociative_triples(permutations(range(self.rank), 4),
+                                     self.module, self.cvalue)
         return [(i, j, k, m, self.module(i, j).gen(a),
                  self.module(j, k).gen(b), self.module(k, m).gen(c))
                 for (i, j, k, m), (a, b, c) in islice(bad, limit)]
@@ -157,7 +150,7 @@ def check_idempotent_rel(D):
     """Whether every composable bracket is onto: the values of
     c_{(i,j),(j,k)} on generator pairs must generate the whole target,
     separately for every triple of distinct indices."""
-    for (i, j, k) in _distinct_triples(D.rank):
+    for (i, j, k) in permutations(range(D.rank), 3):
         target = D.module(i, k)
         gens = [D.cvalue(i, j, k, x, y)
                 for x in D.module(i, j).gens()
@@ -206,29 +199,31 @@ def _firm_quadruple(D, i, j, k, l):
     return kernel, image, amb
 
 
+def _require_idempotent(D):
+    ok, wit = check_idempotent_rel(D)
+    if not ok:
+        raise PreconditionFailed("data is not idempotent at %r" % (wit,))
+
+
 def check_firm_rel(D):
     """Exactness at every quadruple of distinct indices: the relations
     among bracket values are exactly the ones forced by biadditivity and
     associativity.  Requires the idempotent check to pass first."""
-    ok, wit = check_idempotent_rel(D)
-    if not ok:
-        raise PreconditionFailed("data is not idempotent at %r" % (wit,))
-    for i in range(D.rank):
-        for j in range(D.rank):
-            for k in range(D.rank):
-                for l in range(D.rank):
-                    if len({i, j, k, l}) != 4:
-                        continue
-                    kernel, image, _ = _firm_quadruple(D, i, j, k, l)
-                    if kernel != image:
-                        culprit = next(
-                            (row for row in kernel.basis()
-                             if not image.contains(row)),
-                            None)
-                        if culprit is None:
-                            culprit = next(row for row in image.basis()
-                                           if not kernel.contains(row))
-                        return False, ((i, j, k, l), culprit)
+    _require_idempotent(D)
+    return _firm_rel(D)
+
+
+def _firm_rel(D):
+    """check_firm_rel(D) for data already known to be idempotent."""
+    for i, j, k, l in permutations(range(D.rank), 4):
+        kernel, image, _ = _firm_quadruple(D, i, j, k, l)
+        if kernel != image:
+            culprit = next((row for row in kernel.basis()
+                            if not image.contains(row)), None)
+            if culprit is None:
+                culprit = next(row for row in image.basis()
+                               if not kernel.contains(row))
+            return False, ((i, j, k, l), culprit)
     return True, None
 
 
@@ -254,15 +249,16 @@ def check_reduced_rel(D):
     """No nonzero element of any module may bracket trivially with every
     other root of its subsystem on three indices.  Requires the idempotent
     check to pass first."""
-    ok, wit = check_idempotent_rel(D)
-    if not ok:
-        raise PreconditionFailed("data is not idempotent at %r" % (wit,))
-    for i in range(D.rank):
-        for j in range(i + 1, D.rank):
-            for k in range(j + 1, D.rank):
-                for (p, q) in all_roots(3):
-                    alpha = ((i, j, k)[p], (i, j, k)[q])
-                    ker = _inert_kernel(D, (i, j, k), *alpha)
-                    if not ker.is_trivial():
-                        return False, ((i, j, k), alpha, ker.basis()[0])
+    _require_idempotent(D)
+    return _reduced_rel(D)
+
+
+def _reduced_rel(D):
+    """check_reduced_rel(D) for data already known to be idempotent."""
+    for triple in combinations(range(D.rank), 3):
+        for (p, q) in all_roots(3):
+            alpha = (triple[p], triple[q])
+            ker = _inert_kernel(D, triple, *alpha)
+            if not ker.is_trivial():
+                return False, (triple, alpha, ker.basis()[0])
     return True, None

@@ -15,12 +15,12 @@ an exact computation with finite abelian groups.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
                       induced_map, quotient)
-from .commrel import (check_firm_rel, check_K_linear, check_reduced_rel,
-                      extract)
+from .commrel import (_firm_rel, _reduced_rel, check_idempotent_rel,
+                      check_K_linear)
 from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
                      NotHomomorphism, NotWellDefined, PreconditionFailed,
                      RankTooSmall)
@@ -45,6 +45,12 @@ def _relation_pairs(D, s, i, j, Ti, Tj):
     return out
 
 
+def _relation_rows(amb, pairs, p, q):
+    """The differences a - b of relation pairs, with a in summand p and b in
+    summand q of the direct sum `amb`."""
+    return [amb.group.sub(amb.embed(p, a), amb.embed(q, b)) for a, b in pairs]
+
+
 def relation_subgroup(D, s, i, j):
     """The relations between the summands U_si (x) U_is and U_sj (x) U_js
     forced by associativity through U_ij, as a subgroup of their direct
@@ -59,10 +65,8 @@ def relation_subgroup(D, s, i, j):
     Ti = TensorGroup(D.module(s, i), D.module(i, s))
     Tj = TensorGroup(D.module(s, j), D.module(j, s))
     amb = DirectSum([Ti.group, Tj.group])
-    gens = []
-    for a, b in _relation_pairs(D, s, i, j, Ti, Tj):
-        gens.append(amb.group.sub(amb.embed(0, a), amb.embed(1, b)))
-    return Subgroup(amb.group, gens)
+    pairs = _relation_pairs(D, s, i, j, Ti, Tj)
+    return Subgroup(amb.group, _relation_rows(amb, pairs, 0, 1))
 
 
 # -- diagonal blocks as quotients (firm data) ---------------------------------
@@ -72,14 +76,16 @@ class DiagonalPresentation:
     """One diagonal block presented as a quotient.
 
     The ambient group is the direct sum over the other indices i (in the
-    order `indices`) of the tensor squares U_si (x) U_is; `relations` is
-    the subgroup spanned by all relation pairs and `quot` the quotient
-    with its projection and section.
+    order `indices`) of the tensor squares U_si (x) U_is; `pairs[(i, j)]`
+    lists the relation pairs between summands i and j, `relations` is the
+    subgroup they all span and `quot` the quotient with its projection and
+    section.
     """
 
     s: int
     indices: tuple
     tensors: dict
+    pairs: dict
     ambient: DirectSum
     relations: Subgroup
     quot: object
@@ -102,34 +108,26 @@ def _diagonal_presentation(D, s, order=None):
         idxs = list(order)
     tens = {i: TensorGroup(D.module(s, i), D.module(i, s)) for i in idxs}
     amb = DirectSum([tens[i].group for i in idxs])
-    pos = {i: t for t, i in enumerate(idxs)}
+    pairs = {(i, j): _relation_pairs(D, s, i, j, tens[i], tens[j])
+             for i, j in permutations(idxs, 2)}
     gens = []
-    for i in idxs:
-        for j in idxs:
-            if i == j:
-                continue
-            for a, b in _relation_pairs(D, s, i, j, tens[i], tens[j]):
-                gens.append(amb.group.sub(amb.embed(pos[i], a),
-                                          amb.embed(pos[j], b)))
+    for (i, j), ps in pairs.items():
+        gens += _relation_rows(amb, ps, idxs.index(i), idxs.index(j))
     rel = Subgroup(amb.group, gens)
     return DiagonalPresentation(s=s, indices=tuple(idxs), tensors=tens,
-                                ambient=amb, relations=rel,
+                                pairs=pairs, ambient=amb, relations=rel,
                                 quot=quotient(amb.group, rel))
 
 
-def _pair_quotient_bijective(D, pres, i, j):
+def _pair_quotient_bijective(pres, i, j):
     """Whether the two-summand quotient already presents the whole diagonal
     block: ((T_i + T_j) / (relations between i and j)) -> R_ss must be an
     isomorphism.  The construction of the diagonal multiplications depends
     on this, so it is verified rather than trusted."""
-    s = pres.s
     Ti, Tj = pres.tensors[i], pres.tensors[j]
     amb2 = DirectSum([Ti.group, Tj.group])
-    gens2 = []
-    for a, b in _relation_pairs(D, s, i, j, Ti, Tj):
-        gens2.append(amb2.group.sub(amb2.embed(0, a), amb2.embed(1, b)))
-    for a, b in _relation_pairs(D, s, j, i, Tj, Ti):
-        gens2.append(amb2.group.sub(amb2.embed(1, a), amb2.embed(0, b)))
+    gens2 = (_relation_rows(amb2, pres.pairs[(i, j)], 0, 1)
+             + _relation_rows(amb2, pres.pairs[(j, i)], 1, 0))
     q2 = quotient(amb2.group, Subgroup(amb2.group, gens2))
     cols = []
     for t, part in ((0, Ti), (1, Tj)):
@@ -270,6 +268,43 @@ def _diagonal_square(D, pres, left_tables, coord_info):
     return table
 
 
+def _firm_diagonal(D, s, order, tables, certificates):
+    """Diagonal block s of the firm construction, summands in `order`
+    (None: increasing): returns its presentation and group, and adds the
+    tables involving R_ss and the two-summand checks."""
+    pres = _diagonal_presentation(D, s, order)
+    pair_checks = certificates.setdefault("pair_quotient_bijective", {})
+    for a, i in enumerate(pres.indices):
+        for j in pres.indices[a + 1:]:
+            good = _pair_quotient_bijective(pres, i, j)
+            pair_checks[(s, i, j)] = good
+            if not good:
+                raise InternalAlarm("a two-summand quotient fails to "
+                                    "present the diagonal block",
+                                    witness=(s, i, j))
+    coord_info = _coordinate_summand(pres)
+    left_tables = {}
+    for j in pres.indices:
+        left, right = _diagonal_actions(D, pres, j, coord_info)
+        left_tables[j] = left
+        if left:
+            tables[(s, s, j)] = left
+        if right:
+            tables[(j, s, s)] = right
+    for j in pres.indices:
+        Gsj, Gjs = D.module(s, j), D.module(j, s)
+        tab = {}
+        for a, x in enumerate(Gsj.gens()):
+            for b, y in enumerate(Gjs.gens()):
+                tab[(a, b)] = pres.class_of(j, x, y)
+        if tab:
+            tables[(s, j, s)] = tab
+    square = _diagonal_square(D, pres, left_tables, coord_info)
+    if square:
+        tables[(s, s, s)] = square
+    return pres, pres.quot.group
+
+
 # -- results ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -284,94 +319,6 @@ class CoordinatizationResult:
     @property
     def predicates(self):
         return self.certificates["predicates"]
-
-
-def _finish(D, mode, blocks, tables, diagonals, certificates):
-    """Certify the rebuilt ring: one associativity pass, bucketed by index
-    pattern, then the idempotent predicate and the mode's own predicate.
-    The other predicate is left as None in the report."""
-    ring = PeirceRing(D.rank, D.modulus, blocks, tables, check=False)
-    patterns = verify_associativity_patterns(ring)
-    if not patterns.ok:
-        raise InternalAlarm("an associativity index pattern fails on the "
-                            "rebuilt ring",
-                            witness=sorted(patterns.failing())[0])
-    found = {"idempotent": is_idempotent(ring), "firm": (None, None),
-             "reduced": (None, None)}
-    found[mode] = (is_firm(ring) if mode == "firm"
-                   else _is_reduced_given(ring, found["idempotent"]))
-    for name in ("idempotent", mode):
-        ok, wit = found[name]
-        if not ok:
-            raise InternalAlarm("rebuilt ring fails the %s predicate" % name,
-                                witness=wit)
-    certificates["associativity_patterns"] = patterns
-    certificates["predicates"] = PredicateReport(
-        *found["idempotent"], *found["firm"], *found["reduced"])
-    return CoordinatizationResult(ring=ring, mode=mode, diagonals=diagonals,
-                                  certificates=certificates)
-
-
-def firm_coordinatize(D, summand_order=None):
-    """Rebuild a Peirce ring from firm data of rank at least 4.
-
-    Diagonal blocks are quotients of sums of tensor squares; their
-    multiplications are induced along representatives and certified by
-    explicit kernel checks.  `summand_order` optionally reorders the
-    tensor summands per diagonal index ({s: permutation of the others});
-    the result is then presented differently but is the same ring up to
-    the connecting isomorphism, which is the uniqueness statement.
-    """
-    if D.rank < 4:
-        raise RankTooSmall("need rank at least 4, got %d" % D.rank)
-    ok, wit = check_K_linear(D)
-    if not ok:
-        raise PreconditionFailed("module %r is not a scalar module" % (wit,))
-    ok, wit = check_firm_rel(D)
-    if not ok:
-        raise PreconditionFailed("data is not firm at %r" % (wit,))
-
-    blocks = {(i, j): D.module(i, j)
-              for i in range(D.rank) for j in range(D.rank) if i != j}
-    tables = {key: dict(tab) for key, tab in D.cmaps.items()}
-    diagonals = {}
-    pair_checks = {}
-    for s in range(D.rank):
-        order = None if summand_order is None else summand_order.get(s)
-        pres = _diagonal_presentation(D, s, order)
-        diagonals[s] = pres
-        blocks[(s, s)] = pres.quot.group
-        for a, i in enumerate(pres.indices):
-            for j in pres.indices[a + 1:]:
-                good = _pair_quotient_bijective(D, pres, i, j)
-                pair_checks[(s, i, j)] = good
-                if not good:
-                    raise InternalAlarm("a two-summand quotient fails to "
-                                        "present the diagonal block",
-                                        witness=(s, i, j))
-        coord_info = _coordinate_summand(pres)
-        left_tables = {}
-        for j in pres.indices:
-            left, right = _diagonal_actions(D, pres, j, coord_info)
-            left_tables[j] = left
-            if left:
-                tables[(s, s, j)] = left
-            if right:
-                tables[(j, s, s)] = right
-        for j in pres.indices:
-            Gsj, Gjs = D.module(s, j), D.module(j, s)
-            tab = {}
-            for a, x in enumerate(Gsj.gens()):
-                for b, y in enumerate(Gjs.gens()):
-                    tab[(a, b)] = pres.class_of(j, x, y)
-            if tab:
-                tables[(s, j, s)] = tab
-        square = _diagonal_square(D, pres, left_tables, coord_info)
-        if square:
-            tables[(s, s, s)] = square
-
-    certificates = {"pair_quotient_bijective": pair_checks}
-    return _finish(D, "firm", blocks, tables, diagonals, certificates)
 
 
 # -- diagonal blocks as endomorphism families (reduced data) ------------------
@@ -473,16 +420,13 @@ def _endo_certificates(D, endo):
     of the span acts trivially on any single index."""
     s = endo.s
     all_gens = list(endo.span.gens)
-    for i in endo.others:
-        for j in endo.others:
-            if i == j or (i, j) == endo.base_pair:
-                continue
-            for x in D.module(s, i).gens():
-                for y in D.module(i, j).gens():
-                    for z in D.module(j, s).gens():
-                        all_gens.append(_triple_endvec(
-                            D, s, endo.others, endo.slots, endo.ambient,
-                            i, j, x, y, z))
+    for i, j in permutations(endo.others, 2):
+        if (i, j) == endo.base_pair:
+            continue
+        for x, y, z in product(D.module(s, i).gens(), D.module(i, j).gens(),
+                               D.module(j, s).gens()):
+            all_gens.append(_triple_endvec(D, s, endo.others, endo.slots,
+                                           endo.ambient, i, j, x, y, z))
     full = Subgroup(endo.ambient.group, all_gens)
     if endo.span != full:
         raise InternalAlarm("the base pair does not span the diagonal "
@@ -611,6 +555,89 @@ def _endo_tables(D, endo):
         tables[(s, s, s)] = square
     return tables
 
+def _reduced_diagonal(D, s, _order, tables, certificates):
+    """Diagonal block s of the reduced construction, as _firm_diagonal;
+    the span and faithfulness checks go into `certificates`."""
+    endo = _endo_presentation(D, s)
+    certificates.setdefault("factor_injective", {})[s] = \
+        _endo_certificates(D, endo)
+    certificates.setdefault("base_pair_spans", {})[s] = True
+    tables.update(_endo_tables(D, endo))
+    return endo, endo.chart.group
+
+
+# -- the rebuild: the gates, then one construction --------------------------
+
+def rebuild_gates(D, mode):
+    """The hypotheses of the `mode` construction on D, in the order they
+    are checked, as (report row name, property the data must have, check
+    returning (ok, witness)); each check assumes the ones before passed."""
+    body = _firm_rel if mode == "firm" else _reduced_rel
+    return (("k-linear", "K-linear", lambda: check_K_linear(D)),
+            ("idempotent-rel", "idempotent", lambda: check_idempotent_rel(D)),
+            (mode + "-rel", mode, lambda: body(D)))
+
+
+def _construct(D, mode, summand_order=None):
+    """The `mode` construction on data of rank at least 4 that passed
+    `rebuild_gates(D, mode)`, certified by one associativity pass, bucketed
+    by index pattern, then the idempotent predicate and the mode's own
+    predicate.  The other predicate is left as None in the report."""
+    blocks = {(i, j): D.module(i, j)
+              for i in range(D.rank) for j in range(D.rank) if i != j}
+    tables = {key: dict(tab) for key, tab in D.cmaps.items()}
+    diagonals = {}
+    certificates = {}
+    diagonal = _firm_diagonal if mode == "firm" else _reduced_diagonal
+    for s in range(D.rank):
+        order = None if summand_order is None else summand_order.get(s)
+        diagonals[s], blocks[(s, s)] = diagonal(D, s, order, tables,
+                                                certificates)
+
+    ring = PeirceRing(D.rank, D.modulus, blocks, tables, check=False)
+    patterns = verify_associativity_patterns(ring)
+    if not patterns.ok:
+        raise InternalAlarm("an associativity index pattern fails on the "
+                            "rebuilt ring",
+                            witness=sorted(patterns.failing())[0])
+    found = {"idempotent": is_idempotent(ring), "firm": (None, None),
+             "reduced": (None, None)}
+    found[mode] = (is_firm(ring) if mode == "firm"
+                   else _is_reduced_given(ring, found["idempotent"]))
+    for name in ("idempotent", mode):
+        ok, wit = found[name]
+        if not ok:
+            raise InternalAlarm("rebuilt ring fails the %s predicate" % name,
+                                witness=wit)
+    certificates["associativity_patterns"] = patterns
+    certificates["predicates"] = PredicateReport(
+        *found["idempotent"], *found["firm"], *found["reduced"])
+    return CoordinatizationResult(ring=ring, mode=mode, diagonals=diagonals,
+                                  certificates=certificates)
+
+
+def _require_gates(D, mode):
+    if D.rank < 4:
+        raise RankTooSmall("need rank at least 4, got %d" % D.rank)
+    for _name, prop, check in rebuild_gates(D, mode):
+        ok, wit = check()
+        if not ok:
+            raise PreconditionFailed("data is not %s at %r" % (prop, wit))
+
+
+def firm_coordinatize(D, summand_order=None):
+    """Rebuild a Peirce ring from firm data of rank at least 4.
+
+    Diagonal blocks are quotients of sums of tensor squares; their
+    multiplications are induced along representatives and certified by
+    explicit kernel checks.  `summand_order` optionally reorders the
+    tensor summands per diagonal index ({s: permutation of the others});
+    the result is then presented differently but is the same ring up to
+    the connecting isomorphism, which is the uniqueness statement.
+    """
+    _require_gates(D, "firm")
+    return _construct(D, "firm", summand_order)
+
 
 def reduced_coordinatize(D):
     """Rebuild a Peirce ring from reduced data of rank at least 4.
@@ -620,30 +647,8 @@ def reduced_coordinatize(D):
     faithfulness of the action on every single index is what replaces
     the quotient bookkeeping of the firm construction.
     """
-    if D.rank < 4:
-        raise RankTooSmall("need rank at least 4, got %d" % D.rank)
-    ok, wit = check_K_linear(D)
-    if not ok:
-        raise PreconditionFailed("module %r is not a scalar module" % (wit,))
-    ok, wit = check_reduced_rel(D)
-    if not ok:
-        raise PreconditionFailed("data is not reduced at %r" % (wit,))
-
-    blocks = {(i, j): D.module(i, j)
-              for i in range(D.rank) for j in range(D.rank) if i != j}
-    tables = {key: dict(tab) for key, tab in D.cmaps.items()}
-    diagonals = {}
-    injective = {}
-    for s in range(D.rank):
-        endo = _endo_presentation(D, s)
-        diagonals[s] = endo
-        blocks[(s, s)] = endo.chart.group
-        injective[s] = _endo_certificates(D, endo)
-        tables.update(_endo_tables(D, endo))
-
-    certificates = {"factor_injective": injective,
-                    "base_pair_spans": {s: True for s in range(D.rank)}}
-    return _finish(D, "reduced", blocks, tables, diagonals, certificates)
+    _require_gates(D, "reduced")
+    return _construct(D, "reduced")
 
 
 # -- the comparison isomorphism -----------------------------------------------
@@ -660,6 +665,16 @@ class ConnectionReport:
         return all(self.bijective.values())
 
 
+def _induces(R, D):
+    """Whether extract(R) == D, compared without building the data: the
+    same off-diagonal blocks and nonzero tables on distinct indices."""
+    return (R.modulus == D.modulus
+            and all(R.blocks[key] == G for key, G in D.modules.items())
+            and {key: tab for key, tab in R.tables.items()
+                 if len(set(key)) == 3}
+            == {key: tab for key, tab in D.cmaps.items() if tab})
+
+
 def connecting_hom(D, built, original):
     """The canonical homomorphism from a rebuilt ring onto any ring
     carrying the same data.
@@ -674,10 +689,10 @@ def connecting_hom(D, built, original):
         raise PreconditionFailed("rank mismatch")
     if original.rank < 3:
         raise RankTooSmall("need rank at least 3, got %d" % original.rank)
-    if extract(original) != D:
+    if not _induces(original, D):
         raise PreconditionFailed(
             "the original ring does not induce the given data")
-    if extract(built.ring) != D:
+    if not _induces(built.ring, D):
         raise PreconditionFailed(
             "the rebuilt ring does not induce the given data")
 

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+from rootring import cli, commrel, coordinatize, rings
+from rootring.abelian import FinAbGroup
 from rootring.cli import main
+from rootring.commrel import CommRelData, all_roots
 from rootring.corpus import standard_corpus, zero_entry
-from rootring.fileformat import load_ring, write_ring
+from rootring.fileformat import dump_commrel, load_ring, write_ring
 from rootring.rings import FinRing, mat_ring
 
 
@@ -131,6 +134,95 @@ def test_roundtrip_predicate_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "check idempotent-rel: fail  (0, 1, 2)" in out
     assert "isomorphic: false" in out
+
+
+def _scalar_data_file(tmp_path, order):
+    """Rank-4 data over Z/2 with every module Z/order and zero brackets."""
+    D = CommRelData(4, 2, {(r.i, r.j): FinAbGroup([order])
+                           for r in all_roots(4)}, {})
+    p = tmp_path / ("z%d.commrel" % order)
+    p.write_text(dump_commrel(D))
+    return str(p)
+
+
+def test_coordinatize_gate_rows(tmp_path, capsys):
+    out = tmp_path / "rebuilt.ring"
+    # Z/4 modules are no Z/2-modules: a precondition, exit 2
+    p = _scalar_data_file(tmp_path, 4)
+    assert main(["--no-timestamp", "coordinatize", p, "--mode", "firm",
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "check k-linear: fail  (0, 1)" in captured.out
+    assert "idempotent-rel" not in captured.out
+    assert "check k-linear failed" in captured.err
+    # nonzero modules with zero brackets are not idempotent: exit 3
+    p = _scalar_data_file(tmp_path, 2)
+    for mode in ("firm", "reduced"):
+        assert main(["--no-timestamp", "coordinatize", p, "--mode", mode,
+                     "-o", str(out)]) == 3
+        report = capsys.readouterr().out
+        assert "check k-linear: pass" in report
+        assert "check idempotent-rel: fail  (0, 1, 2)" in report
+        assert "%s-rel" % mode not in report
+    assert not out.exists()
+    assert main(["--no-timestamp", "check", p]) == 3
+    report = capsys.readouterr().out
+    assert "check idempotent-rel: fail  (0, 1, 2)" in report
+    assert "check firm-rel: skip  data is not idempotent" in report
+    assert "check reduced-rel: skip  data is not idempotent" in report
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Count calls of owner.<name> for each name.  For a module owner the
+    counting wrapper replaces the function in every rootring module that
+    imported it."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        holders = [owner] if isinstance(owner, type) else \
+            [m for m in (cli, commrel, coordinatize, rings)
+             if getattr(m, name, None) is original]
+        for holder in holders:
+            monkeypatch.setattr(holder, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode, visit", [("firm", "_firm_quadruple"),
+                                         ("reduced", "_inert_kernel")])
+def test_roundtrip_checks_each_fact_once(tmp_path, monkeypatch, capsys,
+                                         mode, visit):
+    p = _write(tmp_path, "m.ring", mat_ring(4, FinRing.zmod(2)))
+    counts = _count_calls(monkeypatch, commrel,
+                          ("check_K_linear", "check_idempotent_rel",
+                           "extract", visit))
+    walks = _count_calls(monkeypatch, CommRelData,
+                         ("associativity_failures",))
+    assert main(["--no-timestamp", "roundtrip", p, "--mode", mode]) == 0
+    assert "isomorphic: true" in capsys.readouterr().out
+    # one run of the mode predicate visits each of its 24 index sets once:
+    # the ordered distinct quadruples (firm), or the six roots of each of
+    # the four index triples (reduced)
+    assert counts == {"check_K_linear": 1, "check_idempotent_rel": 1,
+                      "extract": 1, visit: 24}
+    assert walks == {"associativity_failures": 1}
+
+
+def test_check_runs_idempotency_once(tmp_path, monkeypatch, capsys):
+    p = _write(tmp_path, "m.ring", mat_ring(4, FinRing.zmod(2)))
+    q = str(tmp_path / "m.commrel")
+    assert main(["--no-timestamp", "extract", p, "-o", q]) == 0
+    data = _count_calls(monkeypatch, commrel, ("check_idempotent_rel",))
+    ring = _count_calls(monkeypatch, rings, ("is_idempotent",))
+    assert main(["--no-timestamp", "check", q]) == 0
+    assert data == {"check_idempotent_rel": 1}
+    assert main(["--no-timestamp", "check", p]) == 0
+    assert ring == {"is_idempotent": 1}
+    assert capsys.readouterr().out.count(": fail") == 0
 
 
 def test_json_report_shape_and_determinism(tmp_path, capsys):
