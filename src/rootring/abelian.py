@@ -161,9 +161,8 @@ class AbHom:
                       for a, b in zip(self.cols, other.cols)])
 
     def kernel(self):
-        rows = kernel_mod(self.matrix(), list(self.target.orders),
-                          width=self.source.dim)
-        return Subgroup(self.source, [self.source.reduce(r) for r in rows])
+        return Subgroup(self.source, kernel_mod(
+            self.matrix(), list(self.target.orders), width=self.source.dim))
 
     def image(self):
         return Subgroup(self.target, self.cols)
@@ -257,19 +256,13 @@ class Subgroup:
     def intersect(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
+        # (a, a) and (b, 0) span the pairs (x, y) with y in self and
+        # y - x in other; the Hermite rows with x = 0 come last
         n = self.ambient.dim
-        b1 = self.lat.rows
-        b2 = other.lat.rows
-        # columns are basis vectors of the two lattices; kernel vectors
-        # (u, v) satisfy  sum u_i b1_i == sum v_j b2_j, a point of both
-        A = [[b1[j][i] for j in range(n)] + [-b2[j][i] for j in range(n)]
-             for i in range(n)]
-        gens = []
-        for row in kernel_mod(A, [0] * n, width=2 * n):
-            u = row[:n]
-            vec = [sum(u[j] * b1[j][i] for j in range(n)) for i in range(n)]
-            gens.append(self.ambient.reduce(vec))
-        return Subgroup(self.ambient, gens)
+        lat = Lattice(list(self.ambient.orders) * 2,
+                      [a + a for a in self.lat.rows]
+                      + [b + [0] * n for b in other.lat.rows])
+        return Subgroup(self.ambient, [row[n:] for row in lat.rows[n:]])
 
     def elements(self):
         """Enumerate members; linear scan of the ambient group."""
@@ -279,28 +272,19 @@ class Subgroup:
 
     def as_group(self):
         """Present this subgroup abstractly; see GroupChart."""
-        amb = self.ambient
-        gens = [g for g in (amb.reduce(r) for r in self.lat.rows) if any(g)]
-        k = len(gens)
-        M = [[g[i] for g in gens] for i in range(amb.dim)]
-        rel_rows = kernel_mod(M, list(amb.orders), width=k)
-        orders, proj_lam, lift = _present_quotient(k, rel_rows)
-        Q = FinAbGroup(orders)
-        incl_cols = []
-        for i in range(Q.dim):
-            lam = lift([1 if j == i else 0 for j in range(Q.dim)])
-            vec = [sum(lam[j] * gens[j][i2] for j in range(k))
-                   for i2 in range(amb.dim)]
-            incl_cols.append(amb.reduce(vec))
-        incl = AbHom(Q, amb, incl_cols)
+        gens = self.basis()
+        f = AbHom(FinAbGroup([self.ambient.exponent] * len(gens)),
+                  self.ambient, gens)
+        quot = quotient(f.source, f.kernel())
 
         def coords(vec):
-            lam = solve_mod(M, list(vec), list(amb.orders), width=k)
+            lam = f.preimage(vec)
             if lam is None:
                 raise ValueError("element is not in the subgroup: %r" % (vec,))
-            return Q.reduce(proj_lam(lam))
+            return quot.proj(lam)
 
-        return GroupChart(group=Q, incl=incl, coords=coords)
+        return GroupChart(group=quot.group, incl=induced_map(f, quot),
+                          coords=coords)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.ambient == other.ambient

@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cached_property
 
 from . import __version__
 from .commrel import (_firm_rel, _reduced_rel, check_K_linear,
@@ -473,7 +474,18 @@ def cmd_roundtrip(args, timestamp):
 
 # -- verify-lemmas ----------------------------------------------------------------
 
-def _suite_full_idem(R):
+class _Facts:
+    """What several suites ask about the input ring, each computed on first
+    use, so an error lands in the row of the suite that asked."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    predicates = cached_property(lambda self: check_predicates(self.ring))
+    data = cached_property(lambda self: extract(self.ring))
+
+
+def _suite_full_idem(R, facts):
     """Unital rings: the three predicates agree with each other and with
     fullness of every diagonal idempotent."""
     flat = R.as_finring()
@@ -488,17 +500,17 @@ def _suite_full_idem(R):
     if not family_ok or R.additive.sum(idems) != unit:
         return False, "diagonal unit components are not a complete " \
             "orthogonal family"
-    pr = check_predicates(R)
+    pr = facts.predicates
     preds = (pr.idempotent, pr.firm, pr.reduced)
     full = all(is_full_idempotent(R, e) for e in idems)
     ok = len(set(preds)) == 1 and preds[0] == full
     return ok, "idempotent=%r firm=%r reduced=%r full=%r" % (preds + (full,))
 
 
-def _suite_root_elim(R):
+def _suite_root_elim(R, facts):
     if R.rank < 2:
         return None, "rank 1, nothing to collapse"
-    pr = check_predicates(R)
+    pr = facts.predicates
     if not pr.idempotent and not pr.firm:
         return None, "input neither idempotent nor firm"
     S = collapse_rank(R)
@@ -508,14 +520,14 @@ def _suite_root_elim(R):
         S.rank, ps.idempotent, ps.firm)
 
 
-def _suite_morita(_R):
+def _suite_morita(_R, _facts):
     entry = morita_entry()
     ok, wit = is_firm(entry.ring)
     return ok, "fixture %s firm" % entry.name if ok else wit
 
 
-def _suite_univ_ring(R):
-    pr = check_predicates(R)
+def _suite_univ_ring(R, facts):
+    pr = facts.predicates
     if not pr.idempotent:
         return None, "input not idempotent"
     T, can = universal_ring(R)
@@ -533,7 +545,7 @@ def _suite_univ_ring(R):
         ", canonical map bijective" if pr.firm else "")
 
 
-def _suite_center_perf(R):
+def _suite_center_perf(R, facts):
     if R.rank < 2:
         return None, "rank 1, no transvections"
     st = verify_steinberg(R)
@@ -543,8 +555,7 @@ def _suite_center_perf(R):
         return False, ("steinberg relations fail", bad[0])
     if R.rank < 3:
         return True, "steinberg relations hold (rank 2: no center suite)"
-    ok, _ = is_idempotent(R)
-    if not ok:
+    if not facts.predicates.idempotent:
         return True, "steinberg relations hold (not idempotent: no " \
             "center suite)"
     cp = perfectness_and_center(R)
@@ -556,12 +567,12 @@ def _suite_center_perf(R):
         "(%d upper units)" % cp.upper_size
 
 
-def _suite_gl_roots(R):
-    D = extract(R)
+def _suite_gl_roots(_R, facts):
+    D = facts.data
     ok, wit = check_K_linear(D)
     if not ok:
         return False, ("extracted data not scalar-linear", wit)
-    pr = check_predicates(R)
+    pr = facts.predicates
     carried = []
     if pr.idempotent:
         ok, wit = check_idempotent_rel(D)
@@ -577,7 +588,7 @@ def _suite_gl_roots(R):
     return True, "carried over: %s" % (", ".join(carried) or "none apply")
 
 
-def _suite_ass(R):
+def _suite_ass(R, _facts):
     if R.rank < 4:
         bad = R.associativity_failures(limit=1)
         return not bad, ("all generator triples associate (rank < 4: no "
@@ -589,10 +600,10 @@ def _suite_ass(R):
     return True, "%d patterns, %d products" % (len(pat.patterns), total)
 
 
-def _roundtrip_suite(R, mode):
+def _roundtrip_suite(R, facts, mode):
     if R.rank < 4:
         return None, "rank < 4"
-    D = extract(R)
+    D = facts.data
     for _name, prop, check in rebuild_gates(D, mode):
         ok, _ = check()
         if not ok:
@@ -612,8 +623,8 @@ _SUITES = (
     ("center-perf", _suite_center_perf),
     ("gl-roots", _suite_gl_roots),
     ("ass", _suite_ass),
-    ("r-cons", lambda R: _roundtrip_suite(R, "firm")),
-    ("r-gen", lambda R: _roundtrip_suite(R, "reduced")),
+    ("r-cons", lambda R, facts: _roundtrip_suite(R, facts, "firm")),
+    ("r-gen", lambda R, facts: _roundtrip_suite(R, facts, "reduced")),
 )
 
 
@@ -630,8 +641,9 @@ def cmd_verify_lemmas(args, timestamp):
     except RootRingError:
         sys.stdout.write(rep.render(args.json, timestamp))
         raise
+    facts = _Facts(R)
     for name, suite in _SUITES:
-        rep.soft(name, lambda suite=suite: suite(R))
+        rep.soft(name, lambda suite=suite: suite(R, facts))
     sys.stdout.write(rep.render(args.json, timestamp))
     return rep.worst
 

@@ -26,7 +26,6 @@ from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
                      RankTooSmall)
 from .rings import (PeirceHom, PeirceRing, PredicateReport, _is_reduced_given,
                     is_firm, is_idempotent, nonassociative_triples)
-from .smith import kernel_mod, solve_mod
 
 
 # -- the relation subgroup between two tensor summands -----------------------
@@ -145,21 +144,19 @@ def _supported_preimages(pres, kept):
     projection.  Returns (preimages, kernel_rows); preimages are sparse
     {coordinate: coefficient} dicts."""
     Q = pres.quot.group
-    proj_cols = pres.quot.proj.cols
-    A = [[proj_cols[t][r] for t in kept] for r in range(Q.dim)]
-    mods = list(Q.orders)
+    orders = pres.ambient.group.orders
+    f = AbHom(FinAbGroup([orders[t] for t in kept]), Q,
+              [pres.quot.proj.cols[t] for t in kept])
     pres_list = []
     for p in range(Q.dim):
-        lam = solve_mod(A, list(Q.gen(p)), mods, width=len(kept))
+        lam = f.preimage(Q.gen(p))
         if lam is None:
             raise InternalAlarm(
                 "diagonal class has no representative off one summand",
                 witness=(pres.s, p))
-        pres_list.append({kept[c]: lam[c] for c in range(len(kept))
-                          if lam[c]})
-    kern = kernel_mod(A, mods, width=len(kept))
-    kernel_rows = [{kept[c]: row[c] for c in range(len(kept)) if row[c]}
-                   for row in kern]
+        pres_list.append({kept[c]: v for c, v in enumerate(lam) if v})
+    kernel_rows = [{kept[c]: v for c, v in enumerate(row) if v}
+                   for row in f.kernel().basis()]
     return pres_list, kernel_rows
 
 
@@ -505,10 +502,10 @@ def _endo_tables(D, endo):
 
         j1 = next(i for i in endo.others if i != k)
         Gkj, Gjs = D.module(k, j1), D.module(j1, s)
-        dec_gens = [(y, z) for y in Gkj.gens() for z in Gjs.gens()]
-        M = [[D.cvalue(k, j1, s, y, z)[r] for (y, z) in dec_gens]
-             for r in range(Gks.dim)]
-        mods = list(Gks.orders)
+        T = TensorGroup(Gkj, Gjs)
+        dec_gens = [(Gkj.gen(a), Gjs.gen(b)) for a, b in T.pairs]
+        f = AbHom(T.group, Gks, [D.cvalue(k, j1, s, y, z)
+                                 for y, z in dec_gens])
 
         def product_vec(x, lam):
             out = endo.ambient.group.zero
@@ -520,7 +517,7 @@ def _endo_tables(D, endo):
                         out, endo.ambient.group.scale(c, vec))
             return out
 
-        for row in kernel_mod(M, mods, width=len(dec_gens)):
+        for row in f.kernel().basis():
             for x in Gsk.gens():
                 if any(product_vec(x, row)):
                     raise InternalAlarm(
@@ -529,7 +526,7 @@ def _endo_tables(D, endo):
         pairing = {}
         for a, x in enumerate(Gsk.gens()):
             for b, w in enumerate(Gks.gens()):
-                lam = solve_mod(M, list(w), mods, width=len(dec_gens))
+                lam = f.preimage(w)
                 if lam is None:
                     raise InternalAlarm("a module element has no product "
                                         "decomposition", witness=(s, k, b))
@@ -716,27 +713,22 @@ def connecting_hom(D, built, original):
         else:
             i0, j0 = pres.base_pair
             amb = pres.ambient.group
-            M = [[g[3][r] for g in pres.generators]
-                 for r in range(amb.dim)]
-            mods = list(amb.orders)
-            Q = pres.chart.group
+            F = FinAbGroup([amb.exponent] * len(pres.generators))
+            f = AbHom(F, amb, [g[3] for g in pres.generators])
             target = original.blocks[(s, s)]
+            value = AbHom(F, target, [
+                original.block_mul(s, i0, s, x,
+                                   original.block_mul(i0, j0, s, y, z))
+                for x, y, z, _ in pres.generators])
+            Q = pres.chart.group
             cols = []
             for p in range(Q.dim):
-                lam = solve_mod(M, list(pres.chart.incl(Q.gen(p))), mods,
-                                width=len(pres.generators))
+                lam = f.preimage(pres.chart.incl(Q.gen(p)))
                 if lam is None:
                     raise InternalAlarm("a diagonal generator is not a "
                                         "combination of triples",
                                         witness=(s, p))
-                val = target.zero
-                for c, (x, y, z, _) in zip(lam, pres.generators):
-                    if c:
-                        prod = original.block_mul(
-                            s, i0, s, x,
-                            original.block_mul(i0, j0, s, y, z))
-                        val = target.add(val, target.scale(c, prod))
-                cols.append(val)
+                cols.append(value(lam))
             homs[(s, s)] = AbHom(Q, target, cols)
 
     hom = PeirceHom(built.ring, original, homs)

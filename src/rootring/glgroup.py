@@ -10,10 +10,10 @@ the role of the elementary linear group.
 
 from dataclasses import dataclass, field
 
+from .abelian import AbHom, TensorGroup
 from .errors import (BlockMismatch, BoundExceeded, IndexClash, InternalAlarm,
                      NotIdempotent, NotQuasiInvertible, RankTooSmall)
 from .rings import is_idempotent
-from .smith import solve_mod
 
 
 def circ(ring, x, y):
@@ -30,14 +30,10 @@ def quasi_inverse(ring, x):
     """
     G = ring.additive
     x = G.reduce(x)
-    n = G.dim
-    cols = [ring.mul(x, G.gen(q)) for q in range(n)]
-    M = [[cols[q][i] + (1 if q == i else 0) for q in range(n)]
-         for i in range(n)]
-    y = solve_mod(M, list(G.neg(x)), list(G.orders), width=n)
+    f = AbHom(G, G, [G.add(ring.mul(x, g), g) for g in G.gens()])
+    y = f.preimage(G.neg(x))
     if y is None:
         raise NotQuasiInvertible("element has no quasi-inverse", witness=x)
-    y = G.reduce(y)
     if any(circ(ring, x, y)) or any(circ(ring, y, x)):
         raise InternalAlarm("quasi-inverse verification failed", witness=x)
     return y
@@ -327,19 +323,18 @@ def perfectness_and_center(R, check_action=True):
             j = min(t for t in range(R.rank) if t not in (i, k))
             Gij, Gjk, Gik = R.blocks[(i, j)], R.blocks[(j, k)], \
                 R.blocks[(i, k)]
-            pairs = [(a, b) for a in range(Gij.dim) for b in range(Gjk.dim)]
-            cols = [R.block_mul(i, j, k, Gij.gen(a), Gjk.gen(b))
-                    for (a, b) in pairs]
-            M = [[col[t] for col in cols] for t in range(Gik.dim)]
+            T = TensorGroup(Gij, Gjk)
+            f = AbHom(T.group, Gik, [R.block_mul(i, j, k, Gij.gen(a),
+                                                 Gjk.gen(b))
+                                     for (a, b) in T.pairs])
             for c in Gik.gens():
-                lam = solve_mod(M, list(c), list(Gik.orders),
-                                width=len(pairs))
+                lam = f.preimage(c)
                 if lam is None:
                     perfect = False
                     perfect_witness = (i, k, c, "no decomposition")
                     continue
                 prod = identity_unit(R)
-                for (a, b), coeff in zip(pairs, lam):
+                for (a, b), coeff in zip(T.pairs, lam):
                     ta = transvection(R, i, j, Gij.scale(coeff, Gij.gen(a)))
                     tb = transvection(R, j, k, Gjk.gen(b))
                     prod = prod.circle(ta.commutator(tb))

@@ -22,7 +22,6 @@ from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
 from .errors import (BlockMismatch, InternalAlarm, ModuleNotFirm,
                      NotIdempotent, NotIdempotentFamily, PairingNotSurjective,
                      PreconditionFailed, RankTooSmall)
-from .smith import solve_mod
 
 
 def bilinear_apply(table, x, y, target):
@@ -202,25 +201,15 @@ def find_unit(ring):
     G = ring.additive
     if G.dim == 0:
         return ()
-    rows = []
-    rhs = []
-    for g in G.gens():
-        left = [ring.mul(G.gen(q), g) for q in range(G.dim)]
-        right = [ring.mul(g, G.gen(q)) for q in range(G.dim)]
-        for i in range(G.dim):
-            rows.append([col[i] for col in left])
-            rhs.append(g[i])
-        for i in range(G.dim):
-            rows.append([col[i] for col in right])
-            rhs.append(g[i])
-    mods = []
-    for g in G.gens():
-        mods.extend(G.orders)
-        mods.extend(G.orders)
-    e = solve_mod(rows, rhs, mods, width=G.dim)
+    # e*g == g and g*e == g for every generator g, stacked in one sum
+    ds = DirectSum([G] * (2 * G.dim))
+    f = AbHom(G, ds.group,
+              [ds.assemble([v for g in G.gens()
+                            for v in (ring.mul(x, g), ring.mul(g, x))])
+               for x in G.gens()])
+    e = f.preimage(ds.assemble([g for g in G.gens() for _ in (0, 1)]))
     if e is None:
         return None
-    e = G.reduce(e)
     for g in G.gens():
         if ring.mul(e, g) != g or ring.mul(g, e) != g:
             return None

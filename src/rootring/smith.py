@@ -1,9 +1,16 @@
 """Exact normal forms for small integer matrices.
 
 Matrices are lists of row lists of Python ints, so everything is arbitrary
-precision and there is no numerical error to reason about.  Sizes stay small
-(tens of rows), which keeps the classical O(n^3)-ish algorithms comfortable.
+precision and there is no numerical error to reason about.  There are two
+eliminations.  `Lattice` keeps the Hermite basis of a lattice containing
+diag(mods), with entries bounded modulo the diagonal; every subgroup
+question goes through it, including `kernel_mod` and `solve_mod`, which
+read the graph lattice of a map.  `smith_normal_form` only presents
+quotients (`abelian._present_quotient`, `invariant_factors`) and backs
+`solve_int`.
 """
+
+from math import lcm
 
 
 def xgcd(a, b):
@@ -193,60 +200,74 @@ class Lattice:
     coset member with nonnegative coordinates.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "mods", "rows")
 
     def __init__(self, mods, gens=()):
         for d in mods:
             if d < 1:
                 raise ValueError("moduli must be positive, got %r" % (d,))
         self.n = len(mods)
+        self.mods = tuple(mods)
         self.rows = [[mods[i] if j == i else 0 for j in range(self.n)]
                      for i in range(self.n)]
-        for g in gens:
-            self.add(g)
+        if any([self._insert(g) for g in gens]):
+            self._normalize()
 
     def add(self, vec):
         """Enlarge the lattice by one vector.  Returns True if it grew."""
+        grew = self._insert(vec)
+        if grew:
+            self._normalize()
+        return grew
+
+    def _insert(self, vec):
+        """Merge vec into the triangular rows; `_normalize` restores the
+        Hermite form.  diag(mods) lies in the lattice, so every entry right
+        of a pivot is kept modulo its column's modulus."""
         if len(vec) != self.n:
             raise ValueError("length mismatch")
-        v = list(vec)
-        changed = False
+        mods = self.mods
+        v = [x % d for x, d in zip(vec, mods)]
+        grew = False
         for j in range(self.n):
-            if not v[j]:
-                continue
-            a = self.rows[j][j]
             b = v[j]
+            if not b:
+                continue
+            # row and v are zero left of column j
+            row = self.rows[j]
+            a = row[j]
             if b % a == 0:
                 q = b // a
-                v = [x - q * y for x, y in zip(v, self.rows[j])]
-            else:
-                g, x, y = xgcd(a, b)
-                new_row = [x * p + y * q for p, q in zip(self.rows[j], v)]
-                v = [(a // g) * q - (b // g) * p
-                     for p, q in zip(self.rows[j], v)]
-                self.rows[j] = new_row
-                changed = True
-        # assert not any(v)
-        if changed:
-            self._normalize()
-        return changed
+                v[j:] = [(x - q * y) % d
+                         for x, y, d in zip(v[j:], row[j:], mods[j:])]
+                continue
+            g, x, y = xgcd(a, b)
+            row[j:], v[j:] = (
+                [(x * p + y * q) % d
+                 for p, q, d in zip(row[j:], v[j:], mods[j:])],
+                [(a // g * q - b // g * p) % d
+                 for p, q, d in zip(row[j:], v[j:], mods[j:])])
+            grew = True
+        return grew
 
     def _normalize(self):
         # entries above each pivot reduced into [0, pivot)
+        rows = self.rows
         for j in range(self.n):
-            p = self.rows[j][j]
+            p = rows[j][j]
+            tail = rows[j][j:]
             for i in range(j):
-                q = self.rows[i][j] // p
+                q = rows[i][j] // p
                 if q:
-                    self.rows[i] = [a - q * b
-                                    for a, b in zip(self.rows[i], self.rows[j])]
+                    rows[i][j:] = [a - q * b for a, b in zip(rows[i][j:], tail)]
 
     def reduce(self, vec):
         v = list(vec)
         for j in range(self.n):
-            q = v[j] // self.rows[j][j]
+            row = self.rows[j]
+            q = v[j] // row[j]
             if q:
-                v = [a - q * b for a, b in zip(v, self.rows[j])]
+                v[j:] = [a - q * b for a, b in zip(v[j:], row[j:])]
         return tuple(v)
 
     def contains(self, vec):
@@ -287,48 +308,47 @@ def solve_int(A, b):
     return mat_vec(V, y)
 
 
+def _graph_lattice(A, mods, width):
+    """The graph {(A x mod mods, x mod e)} of x -> A x as a Hermite
+    lattice in Z^(m+n), with e = lcm(mods): its target coordinates come
+    first, so the last n rows span the vectors whose target part is zero."""
+    n = len(A[0]) if A else (width or 0)
+    e = lcm(*mods)
+    gens = [[row[j] for row in A] + [1 if t == j else 0 for t in range(n)]
+            for j in range(n)]
+    return Lattice(list(mods) + [e] * n, gens)
+
+
 def solve_mod(A, b, mods, width=None):
     """One solution x of A x = b (mod mods), or None.
 
-    `mods` are per-row moduli; a modulus of 0 means that row is an exact
-    integer equation.  `width` gives the column count when A has no rows
-    (no constraints), in which case the zero vector is returned.
+    `mods` are positive per-row moduli.  `width` gives the column count
+    when A has no rows (no constraints), in which case the zero vector is
+    returned.
+
+    >>> solve_mod([[2, 1]], [3], [4])
+    [0, -1]
+    >>> solve_mod([[2]], [1], [4]) is None
+    True
     """
-    m = len(A)
-    if m == 0:
-        return [0] * (width or 0)
-    n = len(A[0])
-    aug = [list(A[i]) + [mods[i] if j == i else 0 for j in range(m)]
-           for i in range(m)]
-    x = solve_int(aug, b)
-    if x is None:
+    m = len(mods)
+    lat = _graph_lattice(A, mods, width)
+    r = lat.reduce(list(b) + [0] * (lat.n - m))
+    if any(r[:m]):
         return None
-    return x[:n]
+    return [-x for x in r[m:]]
 
 
 def kernel_mod(A, mods, width=None):
     """Row vectors spanning {x in Z^n : A x = 0 (mod mods)}.
 
-    The span is meant over Z; callers typically feed the rows to a Lattice
-    or Subgroup that also knows the source moduli.  `width` gives n when A
-    has no rows, in which case the kernel is everything.
+    `mods` are positive per-row moduli.  The span is meant over Z;
+    callers typically feed the rows to a Lattice or Subgroup that also
+    knows the source moduli.  `width` gives n when A has no rows, in which
+    case the kernel is everything.
+
+    >>> kernel_mod([[1, 2]], [4])
+    [[2, 1], [0, 2]]
     """
-    m = len(A)
-    if m == 0:
-        return [[1 if j == i else 0 for j in range(width or 0)]
-                for i in range(width or 0)]
-    n = len(A[0])
-    if n == 0:
-        return []
-    aug = [list(A[i]) + [mods[i] if j == i else 0 for j in range(m)]
-           for i in range(m)]
-    S, _U, V, _Uinv, _Vinv = smith_normal_form(aug, transforms="V")
-    cols = n + m
-    out = []
-    for j in range(cols):
-        s = S[j][j] if j < m else 0
-        if s == 0:
-            vec = [V[i][j] for i in range(n)]
-            if any(vec):
-                out.append(vec)
-    return out
+    m = len(mods)
+    return [row[m:] for row in _graph_lattice(A, mods, width).rows[m:]]

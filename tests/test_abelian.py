@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from oracles import tensor_oracle
 from rootring.abelian import (AbHom, DirectSum, FinAbGroup, Subgroup,
                               TensorGroup, induced_map, quotient)
 from rootring.errors import NotWellDefined
+from rootring.smith import kernel_mod, solve_mod
 
 group_orders = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]),
                         min_size=0, max_size=3)
@@ -113,6 +115,64 @@ def test_intersect_brute():
     I = A.intersect(B)
     want = sorted(set(A.elements()) & set(B.elements()))
     assert sorted(I.elements()) == want
+
+
+def homs():
+    """Random homs: a small target, a tall target made of copies of the
+    source (the shape of `find_unit`'s stacked equations), or zero."""
+    def image(H, d, vec):
+        # scaled so that d * image == 0 in H
+        return tuple(v * (e // gcd(e, d)) for v, e in zip(vec, H.orders))
+
+    def build(G, H, shape, seeds):
+        if shape == "zero":
+            return AbHom.zero(G, H)
+        return AbHom(G, H, [image(H, d, v) for d, v in zip(G.orders, seeds)])
+
+    def expand(args):
+        G, shape, copies, small = args
+        H = FinAbGroup(list(G.orders) * copies if shape == "tall"
+                       else small)
+        vec = st.tuples(*(st.integers(0, e - 1) for e in H.orders))
+        return st.lists(vec, min_size=G.dim, max_size=G.dim).map(
+            lambda seeds: build(G, H, shape, seeds))
+
+    return st.tuples(groups(), st.sampled_from(["small", "tall", "zero"]),
+                     st.integers(2, 4), group_orders).flatmap(expand)
+
+
+@given(homs(), st.randoms(use_true_random=False))
+def test_kernel_and_preimage_match_enumeration(f, rnd):
+    G, H = f.source, f.target
+    values = {x: f(x) for x in G.elements()}
+    assert set(f.kernel().elements()) == \
+        {x for x, y in values.items() if not any(y)}
+    image = set(values.values())
+    probes = list(H.elements()) if H.order <= 512 else \
+        list(image) + [tuple(rnd.randrange(e) for e in H.orders)
+                       for _ in range(32)]
+    for y in probes:
+        x = f.preimage(y)
+        if y in image:
+            assert x is not None and f(x) == y
+        else:
+            assert x is None
+
+
+@given(group_with_elements(4))
+def test_intersect_matches_set_intersection(inst):
+    G, elems = inst
+    A = Subgroup(G, elems[:2])
+    B = Subgroup(G, elems[2:])
+    assert set(A.intersect(B).elements()) == \
+        set(A.elements()) & set(B.elements())
+
+
+def test_solvers_reject_zero_modulus():
+    with pytest.raises(ValueError):
+        kernel_mod([[1, 2]], [0])
+    with pytest.raises(ValueError):
+        solve_mod([[1], [2]], [1, 0], [3, 0])
 
 
 def test_as_group_round_trip():

@@ -287,6 +287,18 @@ def test_verify_lemmas_full_pass(tmp_path, capsys):
     assert ": fail" not in out and ": skip" not in out
 
 
+def test_verify_lemmas_derives_each_fact_once(tmp_path, monkeypatch,
+                                              capsys):
+    p = _write(tmp_path, "m.ring", mat_ring(4, FinRing.zmod(2)))
+    preds = _count_calls(monkeypatch, rings, ("check_predicates",))
+    data = _count_calls(monkeypatch, commrel, ("extract",))
+    assert main(["--no-timestamp", "verify-lemmas", p]) == 0
+    assert capsys.readouterr().out.count(": pass") == 10
+    # the input ring's predicates once, plus root-elim's collapsed ring
+    assert preds == {"check_predicates": 2}
+    assert data == {"extract": 1}
+
+
 def test_verify_lemmas_catches_corruption(tmp_path, capsys):
     from rootring.corpus import corrupted_matrix
     ring = corrupted_matrix(4, 2)
