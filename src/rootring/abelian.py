@@ -86,14 +86,22 @@ class FinAbGroup:
         return itertools.product(*(range(d) for d in self.orders))
 
     def invariant_factors(self):
-        """Canonical invariant factor chain, for isomorphism-type tests."""
-        if not self.orders:
-            return ()
-        n = len(self.orders)
-        D = [[self.orders[i] if i == j else 0 for j in range(n)]
-             for i in range(n)]
-        S, *_ = smith_normal_form(D, transforms="")
-        return tuple(S[i][i] for i in range(n) if S[i][i] > 1)
+        """Canonical invariant factor chain, for isomorphism-type tests.
+
+        Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), and on the exponent of
+        each prime that exchange is a compare-and-swap.  So the selection
+        sort below sorts the powers of every prime at once and multiplies
+        them back together, without factoring an order.
+
+        >>> FinAbGroup([6, 4, 3]).invariant_factors()
+        (6, 12)
+        """
+        chain = list(self.orders)
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                chain[i], chain[j] = (gcd(chain[i], chain[j]),
+                                      lcm(chain[i], chain[j]))
+        return tuple(d for d in chain if d > 1)
 
     def __eq__(self, other):
         return isinstance(other, FinAbGroup) and self.orders == other.orders
@@ -329,8 +337,9 @@ def _present_quotient(k, rel_rows):
     orders = [diag[i] for i in kept]
 
     def proj(lam):
-        full = [sum(U[i][j] * lam[j] for j in range(k)) for i in range(k)]
-        return tuple(full[i] % diag[i] for i in kept)
+        support = [(j, x) for j, x in enumerate(lam) if x]
+        return tuple(sum(U[i][j] * x for j, x in support) % diag[i]
+                     for i in kept)
 
     def lift(q):
         full = [0] * k

@@ -47,8 +47,9 @@ from .fileformat import dump_commrel, dump_ring, load_commrel, load_ring, \
     read_ring
 from .glgroup import perfectness_and_center, verify_steinberg
 from .rings import (FinRing, _is_reduced_given, check_predicates,
-                    collapse_rank, find_unit, is_firm, is_idempotent,
-                    is_reduced, mat_ring, reduced_quotient, universal_ring)
+                    check_rank, collapse_rank, find_unit, is_firm,
+                    is_idempotent, is_reduced, mat_ring, reduced_quotient,
+                    universal_ring)
 
 SCHEMA = "rootring-report/1"
 
@@ -295,10 +296,12 @@ def cmd_build(args):
     kind, params = args.kind, args.params
     if kind == "mat":
         rank = _int_param(params, 0, "rank", 1)
+        check_rank(rank)
         modulus = _int_param(params, 1, "modulus", 2)
         R = mat_ring(rank, FinRing.zmod(modulus))
     elif kind == "grouped":
         size = _int_param(params, 0, "size", 1)
+        check_rank(size, "size")
         modulus = _int_param(params, 1, "modulus", 2)
         if len(params) < 3:
             raise InvalidParams("missing partition, e.g. \"1|2|3|45\"")

@@ -29,7 +29,7 @@ import re
 from .abelian import FinAbGroup
 from .commrel import CommRelData
 from .errors import FileFormatError, PreconditionFailed
-from .rings import PeirceRing
+from .rings import PeirceRing, check_rank
 
 _HEADER = re.compile(r"(peirce|commrel) rank=(\d+) modulus=(\d+)$")
 _GROUP = re.compile(r"(block|module) (\d+) (\d+): (\d+(?:,\d+)*)$")
@@ -60,6 +60,7 @@ def _parse(text, kind):
     rank, modulus = int(m.group(2)), int(m.group(3))
     if rank < 1:
         _fail(1, "rank must be at least 1")
+    check_rank(rank)
     if modulus < 2:
         _fail(1, "modulus must be at least 2")
 

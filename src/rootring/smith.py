@@ -6,8 +6,10 @@ eliminations.  `Lattice` keeps the Hermite basis of a lattice containing
 diag(mods), with entries bounded modulo the diagonal; every subgroup
 question goes through it, including `kernel_mod` and `solve_mod`, which
 read the graph lattice of a map.  `smith_normal_form` only presents
-quotients (`abelian._present_quotient`, `invariant_factors`) and backs
-`solve_int`.
+quotients (`abelian._present_quotient`) and backs `solve_int`; each of its
+elimination steps costs what the nonzeros of the pivot's row and column
+cost, so the sparse presentations with unit pivots that quotients produce
+stay cheap.
 """
 
 from math import lcm
@@ -61,8 +63,19 @@ def smith_normal_form(M, transforms="UVuv"):
 
     `transforms` names the change-of-basis matrices to maintain: any of
     "U", "V", "u" (U inverse), "v" (V inverse).  Skipped ones come back as
-    None; on tall or wide matrices the saved row and column bookkeeping is
-    most of the work.
+    None.
+
+    Each step takes as pivot the first entry of least absolute value, row
+    by row, clears its column and row by Euclidean division, and then, if
+    the pivot is not a unit, adds in a row with an entry it does not
+    divide.  A step costs what its nonzeros cost: the pivot scan stops at
+    the first unit (the entry the full scan picks), a unit pivot skips the
+    divisibility scan, and a column operation touches only the rows of S
+    that are nonzero in the pivot column.  Non-unit pivots still scan the
+    remaining matrix; row operations and the V and V inverse bookkeeping
+    still cost a full row or column.  These shortcuts change no pivot and
+    no operation, and the pivots do not depend on `transforms`, so S and
+    every matrix kept are those of the plain full-scan elimination.
 
     >>> S, U, V, Uinv, Vinv = smith_normal_form([[2, 4], [4, 2]])
     >>> [S[0][0], S[1][1]]
@@ -103,9 +116,10 @@ def smith_normal_form(M, transforms="UVuv"):
             for row in Uinv:
                 row[i] = -row[i]
 
-    def col_addmul(i, j, c):
-        # col_i += c * col_j ;  V <- V F, Vinv <- F^{-1} Vinv
-        for row in S:
+    def col_addmul(i, j, c, live):
+        # col_i += c * col_j ;  V <- V F, Vinv <- F^{-1} Vinv; `live` holds
+        # the rows of S that are nonzero in column j
+        for row in live:
             row[i] += c * row[j]
         if V is not None:
             for row in V:
@@ -132,12 +146,17 @@ def smith_normal_form(M, transforms="UVuv"):
             Vinv[i] = [-a for a in Vinv[i]]
 
     def pivot_search(t):
+        # the first entry of least absolute value; a unit is least, so the
+        # first one met ends the scan
         best = None
         for i in range(t, m):
+            row = S[i]
             for j in range(t, n):
-                a = S[i][j]
+                a = row[j]
                 if a and (best is None or abs(a) < abs(best[2])):
                     best = (i, j, a)
+                    if abs(a) == 1:
+                        return best
         return best
 
     for t in range(min(m, n)):
@@ -158,10 +177,13 @@ def smith_normal_form(M, transforms="UVuv"):
                     row_addmul(i, t, -q)
                     if S[i][t]:
                         dirty = True
+            # column t does not change during this sweep, so only the rows
+            # nonzero in it take part
+            live = [row for row in S if row[t]]
             for j in range(t + 1, n):
                 if S[t][j]:
                     q = S[t][j] // S[t][t]
-                    col_addmul(j, t, -q)
+                    col_addmul(j, t, -q, live)
                     if S[t][j]:
                         dirty = True
             if dirty:
@@ -169,6 +191,8 @@ def smith_normal_form(M, transforms="UVuv"):
             # row t and column t are clear; pull in any entry the pivot
             # does not divide yet, else this position is done
             p = S[t][t]
+            if abs(p) == 1:
+                break
             culprit = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):

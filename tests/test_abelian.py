@@ -1,15 +1,16 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import tensor_oracle
+from oracles import _free_pairs, _step_relations, tensor_oracle
 from rootring.abelian import (AbHom, DirectSum, FinAbGroup, Subgroup,
                               TensorGroup, induced_map, quotient)
 from rootring.errors import NotWellDefined
-from rootring.smith import kernel_mod, solve_mod
+from rootring.smith import kernel_mod, smith_normal_form, solve_mod
 
 group_orders = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]),
                         min_size=0, max_size=3)
@@ -258,6 +259,59 @@ def test_tensor_matches_element_oracle(oa, ob):
     for a in A.elements():
         for b in B.elements():
             assert h(T.pure(a, b)) == oracle.pure(a, b)
+
+
+def _chain_by_prime_powers(orders):
+    """Invariant factors > 1 of the sum of the Z/d: split each d into
+    prime powers; the i-th largest factor is the product of the i-th
+    largest power of every prime."""
+    powers = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    chain = [1] * max((len(qs) for qs in powers.values()), default=0)
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            chain[i] *= q
+    return tuple(reversed(chain))
+
+
+@pytest.mark.parametrize("oa,ob", [
+    ([4], [4]), ([2, 2], [2, 2]), ([2], [2, 4]), ([3], [6]), ([2, 2], [6]),
+    ([3], [3, 3]), ([2, 4], [4]), ([6], [6]), ([4], [12]), ([6], [8]),
+    ([8], [8]), ([4], [4, 4]), ([2, 3], [10]),
+])
+def test_smith_and_quotient_on_element_pair_presentations(oa, ob):
+    # Z^k on the element pairs of A x B modulo biadditivity is A (x) B,
+    # the sum of Z/gcd(a, b) over the factor pairs
+    A, B = FinAbGroup(oa), FinAbGroup(ob)
+    ea, eb = list(A.elements()), list(B.elements())
+    pos, k = _free_pairs(ea, eb)
+    assert k <= 64
+    rels = _step_relations(A, B, ea, eb, pos, k)
+    want = _chain_by_prime_powers([gcd(a, b) for a in oa for b in ob])
+    cols = [[rel[i] for rel in rels] for i in range(k)]
+    S, *_ = smith_normal_form(cols, transforms="Uu")
+    assert tuple(S[i][i] for i in range(k) if S[i][i] > 1) == want
+    # the relation lattice contains e * Z^k for the tensor's exponent e
+    G = FinAbGroup([want[-1]] * k)
+    H = Subgroup(G, rels)
+    q = quotient(G, H)
+    assert q.group.orders == want
+    for x in q.group.elements():
+        assert q.proj(q.section(x)) == x
+    rng = random.Random(k)
+    probes = G.gens() + [tuple(rng.randrange(d) for d in G.orders)
+                         for _ in range(20)]
+    for g in probes:
+        assert H.contains(G.sub(q.section(q.proj(g)), g))
 
 
 def test_direct_sum_plumbing():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,6 +45,43 @@ def test_build_rejects_bad_params(capsys):
     assert main(["build", "grouped", "5", "2", "1|2|45"]) == 2
     assert "misses" in capsys.readouterr().err
     assert main(["build", "grouped", "5", "2", "1|2|3|4|5|5"]) == 2
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["build", "mat", "100000", "2"], None),
+    (["build", "mat", "17", "2"], None),
+    (["build", "grouped", "100000", "2", "1|2"], None),
+    (["check", "in"], "peirce rank=60 modulus=2\n"),
+    (["check", "in"], "peirce rank=120 modulus=2\n"),
+    (["check", "in"], "commrel rank=60 modulus=2\n"),
+    (["coordinatize", "in", "--mode", "firm"], "commrel rank=17 modulus=2\n"),
+])
+def test_rank_above_the_cap_exits_2_at_once(tmp_path, capsys, argv, text):
+    if text is not None:
+        path = tmp_path / "in"
+        path.write_text(text)
+        argv = [str(path) if a == "in" else a for a in argv]
+    t0 = time.perf_counter()
+    assert main(["--no-timestamp"] + argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the rank cap of %d" % rings.MAX_RANK in err
+
+
+def test_rank_cap_admits_its_own_value(tmp_path, capsys):
+    path = tmp_path / "in"
+    path.write_text("peirce rank=%d modulus=2\n" % rings.MAX_RANK)
+    assert main(["--no-timestamp", "check", str(path)]) == 0
+
+
+def test_rank_cap_prints_no_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rootring.cli", "build", "mat", "100000", "2"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: rank 100000 exceeds the rank cap of %d\n" \
+        % rings.MAX_RANK
 
 
 def test_build_grouped(tmp_path):

@@ -47,6 +47,47 @@ def test_smith_normal_form(M):
             assert b % a == 0
 
 
+# mostly 0 and +-1, with a few non-units, like the tensor presentations
+sparse_int = st.sampled_from([0] * 10 + [1, -1] * 3 + [2, -3, 4, 6])
+
+
+def sparse_matrices():
+    """Tall, wide and square shapes up to about 10 x 14."""
+    shapes = st.one_of(st.tuples(st.integers(1, 10), st.integers(1, 14)),
+                       st.tuples(st.integers(1, 14), st.integers(1, 10)))
+    return shapes.flatmap(
+        lambda mn: st.lists(
+            st.lists(sparse_int, min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_smith_normal_form_sparse_transform_subsets(M):
+    m, n = len(M), len(M[0])
+    full = smith_normal_form(M)
+    for transforms in ("UVuv", "Uu", "UV", ""):
+        S, U, V, Uinv, Vinv = smith_normal_form(M, transforms)
+        assert S == full[0]
+        if "U" in transforms:
+            assert U == full[1]
+        if "U" in transforms and "V" in transforms:
+            assert mat_mul(mat_mul(U, M), V) == S
+        if "u" in transforms:
+            assert mat_mul(U, Uinv) == identity_matrix(m)
+        if "v" in transforms:
+            assert mat_mul(V, Vinv) == identity_matrix(n)
+        for name, got in zip("UVuv", (U, V, Uinv, Vinv)):
+            assert (got is None) == (name not in transforms)
+    for i in range(m):
+        for j in range(n):
+            if i != j:
+                assert full[0][i][j] == 0
+    diag = [full[0][t][t] for t in range(min(m, n))]
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+
+
 def lattice_instances():
     mods = st.lists(st.integers(1, 6), min_size=1, max_size=3)
     return mods.flatmap(
