@@ -3,8 +3,11 @@
 For each of the `--seed-corpus` rings and the annihilated rank-4 matrix
 ring over Z/2, `corpus_digests.json` stores the sha256 of stdout and the
 exit code of `check`, `extract`, `coordinatize` and `roundtrip` (both
-modes), each run with `--json --no-timestamp`.  A change that alters any
-report or dumped file shows up as a diff of that file.
+modes), each run with `--json --no-timestamp`.  It also stores, under the
+key "build <params>", the stdout digest and exit code of the `build`
+commands in BUILDS: grouped rings larger than the corpus, whose dumps go
+through the flattened ring and the block charts.  A change that alters
+any report or dumped file shows up as a diff of that file.
 
 Regenerate it with
 
@@ -35,6 +38,9 @@ VERBS = (("check",), ("extract",),
          ("roundtrip", "--mode", "firm"),
          ("roundtrip", "--mode", "reduced"))
 
+BUILDS = ("grouped 6 2 1|2|3|4|56", "grouped 7 2 1|2|3|4|567",
+          "grouped 8 2 12|34|56|78", "grouped 5 4 1|2|3|45")
+
 
 def annihilated_mat4():
     """mat_ring(4, Z/2) with an extra Z/2 in block (0, 0) that multiplies
@@ -54,20 +60,26 @@ def corpus_texts():
     return texts
 
 
+def _run(argv):
+    """"<sha256 of stdout> exit=<code>" for one command line."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return "%s exit=%d" % (digest, code)
+
+
 def outputs(name):
     """{verb line: "<sha256 of stdout> exit=<code>"} for the ring file
     `<name>.ring` in the current directory."""
-    out = {}
-    for verb in VERBS:
-        argv = ["--json", "--no-timestamp", verb[0], name + ".ring"] + \
-            list(verb[1:])
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        out[" ".join(verb)] = "%s exit=%d" % (digest, code)
-    return out
+    return {" ".join(verb): _run(["--json", "--no-timestamp", verb[0],
+                                  name + ".ring"] + list(verb[1:]))
+            for verb in VERBS}
+
+
+def build_outputs(params):
+    return {"build": _run(["build"] + params.split())}
 
 
 def _write_files(directory, texts):
@@ -95,14 +107,21 @@ def _expected():
 EXPECTED = _expected()
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
+@pytest.mark.parametrize(
+    "name", sorted(k for k in EXPECTED if not k.startswith("build ")))
 def test_corpus_outputs_match_digests(name, corpus_dir, monkeypatch):
     monkeypatch.chdir(corpus_dir)
     assert outputs(name) == EXPECTED[name]
 
 
+@pytest.mark.parametrize("params", BUILDS)
+def test_build_outputs_match_digests(params):
+    assert build_outputs(params) == EXPECTED["build " + params]
+
+
 def test_digests_cover_the_corpus():
-    assert sorted(EXPECTED) == sorted(corpus_texts())
+    assert sorted(EXPECTED) == sorted(
+        list(corpus_texts()) + ["build " + p for p in BUILDS])
 
 
 def _write_digests(directory):
@@ -110,6 +129,7 @@ def _write_digests(directory):
     _write_files(directory, texts)
     os.chdir(directory)
     table = {name: outputs(name) for name in sorted(texts)}
+    table.update({"build " + p: build_outputs(p) for p in BUILDS})
     with open(DIGESTS, "w", encoding="ascii") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
