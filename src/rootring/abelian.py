@@ -9,10 +9,18 @@ dimension 0 and its only element is the empty tuple.
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm, prod
 
 from .errors import NotWellDefined
-from .smith import Lattice, kernel_mod, smith_normal_form, solve_mod
+from .smith import (Lattice, _graph_lattice, _graph_solve, kernel_mod,
+                    smith_normal_form, solve_mod)
+
+
+@cache
+def _units(n):
+    """The unit vectors of Z^n as tuples, built once per n and shared."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class FinAbGroup:
@@ -54,13 +62,13 @@ class FinAbGroup:
         return (0,) * len(self.orders)
 
     def gen(self, i):
-        return tuple(1 if j == i else 0 for j in range(len(self.orders)))
+        return _units(len(self.orders))[i]
 
     def gens(self):
-        return [self.gen(i) for i in range(len(self.orders))]
+        return list(_units(len(self.orders)))
 
     def reduce(self, vec):
-        return tuple(int(v) % d for v, d in zip(vec, self.orders))
+        return tuple([v % d for v, d in zip(vec, self.orders)])
 
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
@@ -284,12 +292,15 @@ class Subgroup:
         f = AbHom(FinAbGroup([self.ambient.exponent] * len(gens)),
                   self.ambient, gens)
         quot = quotient(f.source, f.kernel())
+        # the graph lattice of f.preimage, built once for every query
+        graph = _graph_lattice(f.matrix(), list(self.ambient.orders),
+                               len(gens))
 
         def coords(vec):
-            lam = f.preimage(vec)
+            lam = _graph_solve(graph, self.ambient.dim, vec)
             if lam is None:
                 raise ValueError("element is not in the subgroup: %r" % (vec,))
-            return quot.proj(lam)
+            return quot.proj(f.source.reduce(lam))
 
         return GroupChart(group=quot.group, incl=induced_map(f, quot),
                           coords=coords)

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .abelian import AbHom, DirectSum, Subgroup, TensorGroup
 from .errors import PreconditionFailed
-from .rings import _clean_table, bilinear_apply, nonassociative_triples
+from .rings import (ZERO_TABLE, Table, bilinear_apply,
+                    nonassociative_triples)
 
 
 class Root(NamedTuple):
@@ -89,8 +90,8 @@ class CommRelData:
             if len({i, j, k}) != 3 or not all(0 <= t < rank for t in key):
                 raise ValueError("commutator map key %r is not a composable "
                                  "pair of roots" % (key,))
-            maps[key] = _clean_table(tab, mods[(i, j)], mods[(j, k)],
-                                     mods[(i, k)], what="commutator map")
+            maps[key] = Table(tab, mods[(i, j)], mods[(j, k)], mods[(i, k)],
+                              what="commutator map")
         self.cmaps = maps
         if check:
             bad = self.associativity_failures(limit=1)
@@ -102,7 +103,7 @@ class CommRelData:
         return self.modules[(i, j)]
 
     def cvalue(self, i, j, k, x, y):
-        return bilinear_apply(self.cmaps.get((i, j, k), {}), x, y,
+        return bilinear_apply(self.cmaps.get((i, j, k), ZERO_TABLE), x, y,
                               self.modules[(i, k)])
 
     def associativity_failures(self, limit=1):

@@ -14,7 +14,7 @@ biadditivity.
 """
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import compress, islice, product
 from math import gcd, lcm
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
@@ -24,9 +24,11 @@ from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
                      PairingNotSurjective, PreconditionFailed, RankTooSmall)
 
 # The largest rank accepted from a file header or a build command.  The
-# checks cost about rank^4: on mat_ring(16, Z/2) `check` takes 2 s and a
-# firm roundtrip 12 s, and on a rank-60 file with empty blocks `check`
-# takes 16 s.
+# checks on a block ring cost about rank^4: on mat_ring(16, Z/2) `check`
+# takes 2 s and a firm roundtrip 12 s, and on a rank-60 file with empty
+# blocks `check` takes 16 s.  `build grouped` also walks the flat matrix
+# ring, about 2 size^5 generator triples: with one-index parts it takes
+# 6.9 s at size 12 and 31 s at size 16.
 MAX_RANK = 16
 
 
@@ -43,14 +45,80 @@ def check_rank(rank, what="rank"):
                             % (what, rank, MAX_RANK))
 
 
+class Table(dict):
+    """Structure constants {(a, b): v}, v the reduced nonzero product of
+    left generator a and right generator b, with the row index
+    rows[a] = [(b, v), ...].  The constructor reduces a raw table, drops
+    zero products, and checks generator indices and the order
+    compatibility  ord(a) * v == 0 == ord(b) * v  that biadditive
+    well-definedness requires.
+
+    >>> G = FinAbGroup([4])
+    >>> t = Table({(0, 0): (6,)}, G, G, G)
+    >>> t, t.rows
+    ({(0, 0): (2,)}, {0: [(0, (2,))]})
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, table, left, right, target, what="structure table"):
+        super().__init__()
+        rows = {}
+        for (a, b), v in table.items():
+            if not (0 <= a < left.dim and 0 <= b < right.dim):
+                raise ValueError("%s has out-of-range generator pair (%d, %d)"
+                                 % (what, a, b))
+            v = target.reduce(v)
+            if not any(v):
+                continue
+            d = gcd(left.orders[a], right.orders[b])
+            if any(target.scale(d, v)):
+                raise ValueError(
+                    "%s value at (%d, %d) is not killed by gcd of the "
+                    "generator orders" % (what, a, b))
+            self[(a, b)] = v
+            rows.setdefault(a, []).append((b, v))
+        self.rows = rows
+
+
+# every missing table: the zero product (an empty table needs no groups)
+ZERO_TABLE = Table({}, None, None, None)
+
+
 def bilinear_apply(table, x, y, target):
-    """Evaluate a generator-pair structure table on two coordinate vectors."""
+    """Evaluate a structure table on two coordinate vectors.
+
+    Walks the nonzero coordinates a of x, the row of a in the table and,
+    for each (b, v) there, the coordinate y[b]: the cost is the support of
+    x plus the table entries in its rows, not the whole table.  A single
+    term with coefficient 1, such as a product of two generators, returns
+    its stored value, which is already reduced.
+
+    >>> G = FinAbGroup([4, 4])
+    >>> t = Table({(0, 1): (1, 0), (1, 1): (0, 3)}, G, G, G)
+    >>> bilinear_apply(t, (1, 0), (0, 1), G)
+    (1, 0)
+    >>> bilinear_apply(t, (1, 2), (0, 3), G)
+    (3, 2)
+    """
+    rows = table.rows
+    terms = []
+    for a in compress(range(len(x)), x):
+        row = rows.get(a)
+        if row is not None:
+            c = x[a]
+            for b, v in row:
+                d = y[b]
+                if d:
+                    terms.append((c * d, v))
+    if not terms:
+        return target.zero
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
     acc = [0] * target.dim
-    for (a, b), v in table.items():
-        c = x[a] * y[b]
-        if c:
-            for i, w in enumerate(v):
-                acc[i] += c * w
+    for c, v in terms:
+        for i, w in enumerate(v):
+            acc[i] += c * w
     return target.reduce(acc)
 
 
@@ -65,6 +133,13 @@ def nonassociative_triples(quads, block, mul):
     Rings, block rings, commutator data and module actions all check
     associativity through this one walker.  Products of generator pairs
     are computed once per index triple, since quadruples share them.
+
+    Cost: where xy = 0 the left side (xy)z is 0 for every z, so a triple
+    can fail only if yz != 0; the walk visits just those c and computes
+    only x(yz) there.  Skipped triples have both sides zero, and the
+    visited ones keep the order (a, b, c), so the failures come out exactly
+    as a full walk yields them.  On the flat Mat_s(Z/n) that is about
+    2 s^5 triples instead of s^6.
     """
     gens = {}
     pairs = {}
@@ -75,46 +150,33 @@ def nonassociative_triples(quads, block, mul):
         return gens[(i, j)]
 
     def pair_products(i, j, k):
+        """The products of generator pairs and, per row, the columns where
+        the product is nonzero."""
         if (i, j, k) not in pairs:
-            pairs[(i, j, k)] = [[mul(i, j, k, x, y) for y in gens_of(j, k)]
-                                for x in gens_of(i, j)]
+            prods = [[mul(i, j, k, x, y) for y in gens_of(j, k)]
+                     for x in gens_of(i, j)]
+            pairs[(i, j, k)] = prods, [[c for c, v in enumerate(row) if any(v)]
+                                       for row in prods]
         return pairs[(i, j, k)]
 
     for i, j, k, l in quads:
         xs, zs = gens_of(i, j), gens_of(k, l)
         if not (xs and zs and gens_of(j, k)):
             continue
-        xy, yz = pair_products(i, j, k), pair_products(j, k, l)
+        xy, _ = pair_products(i, j, k)
+        yz, yz_support = pair_products(j, k, l)
         for a, x in enumerate(xs):
             for b, xy_ab in enumerate(xy[a]):
                 yz_b = yz[b]
-                for c, z in enumerate(zs):
-                    if mul(i, k, l, xy_ab, z) != mul(i, j, l, x, yz_b[c]):
+                if any(xy_ab):
+                    for c, z in enumerate(zs):
+                        if mul(i, k, l, xy_ab, z) != mul(i, j, l, x, yz_b[c]):
+                            yield (i, j, k, l), (a, b, c)
+                    continue
+                # (xy)z = 0 for every z: only the c with yz != 0 can fail
+                for c in yz_support[b]:
+                    if any(mul(i, j, l, x, yz_b[c])):
                         yield (i, j, k, l), (a, b, c)
-
-
-def _clean_table(table, left, right, target, what="structure table"):
-    """Reduce and validate structure constants.
-
-    Keeps only nonzero products; checks generator indices and the order
-    compatibility  ord(a) * v == 0 == ord(b) * v  that biadditive
-    well-definedness requires.
-    """
-    out = {}
-    for (a, b), v in table.items():
-        if not (0 <= a < left.dim and 0 <= b < right.dim):
-            raise ValueError("%s has out-of-range generator pair (%d, %d)"
-                             % (what, a, b))
-        v = target.reduce(v)
-        if not any(v):
-            continue
-        d = gcd(left.orders[a], right.orders[b])
-        if any(target.scale(d, v)):
-            raise ValueError(
-                "%s value at (%d, %d) is not killed by gcd of the generator "
-                "orders" % (what, a, b))
-        out[(a, b)] = v
-    return out
 
 
 class FinRing:
@@ -129,7 +191,7 @@ class FinRing:
 
     def __init__(self, additive, table, unit=None, modulus=None, check=True):
         self.additive = additive
-        self.table = _clean_table(table, additive, additive, additive)
+        self.table = Table(table, additive, additive, additive)
         self.unit = additive.reduce(unit) if unit is not None else None
         if modulus is None:
             modulus = additive.exponent
@@ -272,9 +334,9 @@ class PeirceRing:
         for (i, j, k), tab in tables.items():
             if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
                 raise ValueError("table key out of range: %r" % ((i, j, k),))
-            clean = _clean_table(tab, self.blocks[(i, j)],
-                                 self.blocks[(j, k)], self.blocks[(i, k)],
-                                 what="table (%d,%d,%d)" % (i, j, k))
+            clean = Table(tab, self.blocks[(i, j)], self.blocks[(j, k)],
+                          self.blocks[(i, k)],
+                          what="table (%d,%d,%d)" % (i, j, k))
             if clean:
                 self.tables[(i, j, k)] = clean
         self._flat = self._flatten()
@@ -292,7 +354,8 @@ class PeirceRing:
             tgt = self._slot[(i, k)]
             for (a, b), v in tab.items():
                 flat[(off1 + a, off2 + b)] = self.ds.embed(tgt, v)
-        return flat
+        G = self.ds.group
+        return Table(flat, G, G, G)
 
     # -- total-ring view ----------------------------------------------------
 
@@ -320,10 +383,8 @@ class PeirceRing:
 
     def block_mul(self, i, j, k, x, y):
         """Product R_ij x R_jk -> R_ik on block coordinate vectors."""
-        tab = self.tables.get((i, j, k))
-        if tab is None:
-            return self.blocks[(i, k)].zero
-        return bilinear_apply(tab, x, y, self.blocks[(i, k)])
+        return bilinear_apply(self.tables.get((i, j, k), ZERO_TABLE), x, y,
+                              self.blocks[(i, k)])
 
     def block_subgroup(self, i, j):
         G = self.blocks[(i, j)]
@@ -406,11 +467,8 @@ def peirce_from_idempotents(R, idems):
                     xa = ci.incl(blocks[(i, j)].gen(a))
                     for b in range(blocks[(j, k)].dim):
                         yb = ck.incl(blocks[(j, k)].gen(b))
-                        v = charts[(i, k)].coords(R.mul(xa, yb))
-                        if any(v):
-                            tab[(a, b)] = v
-                if tab:
-                    tables[(i, j, k)] = tab
+                        tab[(a, b)] = charts[(i, k)].coords(R.mul(xa, yb))
+                tables[(i, j, k)] = tab
     ring = PeirceRing(rank, R.modulus, blocks, tables)
     return ring, charts
 
@@ -438,8 +496,8 @@ class RightModule:
     def __init__(self, group, ring, table, check=True):
         self.group = group
         self.ring = ring
-        self.table = _clean_table(table, group, ring.additive, group,
-                                  what="right action")
+        self.table = Table(table, group, ring.additive, group,
+                           what="right action")
         if check:
             bad = _first_action_failure(self, (0, 1, 1, 1))
             if bad:
@@ -458,8 +516,8 @@ class LeftModule:
     def __init__(self, group, ring, table, check=True):
         self.group = group
         self.ring = ring
-        self.table = _clean_table(table, ring.additive, group, group,
-                                  what="left action")
+        self.table = Table(table, ring.additive, group, group,
+                           what="left action")
         if check:
             bad = _first_action_failure(self, (0, 0, 0, 1))
             if bad:
@@ -520,20 +578,20 @@ class RelTensor:
 
 
 def _diag_finring(R, j):
-    return FinRing(R.blocks[(j, j)], R.tables.get((j, j, j), {}),
+    return FinRing(R.blocks[(j, j)], R.tables.get((j, j, j), ZERO_TABLE),
                    modulus=R.modulus, check=False)
 
 
 def _block_right_module(R, i, j):
     """R_ij as a right module over the diagonal ring R_jj."""
     return RightModule(R.blocks[(i, j)], _diag_finring(R, j),
-                       R.tables.get((i, j, j), {}), check=False)
+                       R.tables.get((i, j, j), ZERO_TABLE), check=False)
 
 
 def _block_left_module(R, j, k):
     """R_jk as a left module over the diagonal ring R_jj."""
     return LeftModule(R.blocks[(j, k)], _diag_finring(R, j),
-                      R.tables.get((j, j, k), {}), check=False)
+                      R.tables.get((j, j, k), ZERO_TABLE), check=False)
 
 
 @dataclass
@@ -743,8 +801,7 @@ def morita_ring(R, P, Q, pairing):
     """
     if P.ring is not R or Q.ring is not R:
         raise PreconditionFailed("modules must be over the given ring")
-    pairing = _clean_table(pairing, Q.group, P.group, R.additive,
-                           what="pairing")
+    pairing = Table(pairing, Q.group, P.group, R.additive, what="pairing")
 
     def pair(q, p):
         return bilinear_apply(pairing, q, p, R.additive)
@@ -791,9 +848,7 @@ def morita_ring(R, P, Q, pairing):
         tab = {}
         for a in range(left_group.dim):
             for b in range(right_group.dim):
-                v = fun(left_group.gen(a), right_group.gen(b))
-                if any(v):
-                    tab[(a, b)] = v
+                tab[(a, b)] = fun(left_group.gen(a), right_group.gen(b))
         return tab
 
     def s_times_s(u, v):
@@ -904,10 +959,7 @@ def universal_ring(R):
         for a in range(ds.group.dim):
             xa = row_embed(i, ds.group.gen(a))
             for s in range(G.dim):
-                v = total.mul(xa, G.gen(s))
-                rv = row_project(i, v)
-                if any(rv):
-                    tab[(a, s)] = rv
+                tab[(a, s)] = row_project(i, total.mul(xa, G.gen(s)))
         return tab
 
     def left_table(j):
@@ -916,10 +968,8 @@ def universal_ring(R):
         for s in range(G.dim):
             gs = G.gen(s)
             for a in range(ds.group.dim):
-                v = total.mul(gs, col_embed(j, ds.group.gen(a)))
-                cv = col_project(j, v)
-                if any(cv):
-                    tab[(s, a)] = cv
+                tab[(s, a)] = col_project(
+                    j, total.mul(gs, col_embed(j, ds.group.gen(a))))
         return tab
 
     row_mods = {i: RightModule(rows[i][0].group, total, right_table(i),
@@ -964,10 +1014,8 @@ def universal_ring(R):
                                 acc = tens[(i, k)].group.add(
                                     acc, tens[(i, k)].group.scale(
                                         co, pure_mul(i, j, k, x, y, x2, y2)))
-                        if any(acc):
-                            tab[(a, b)] = acc
-                if tab:
-                    tables[(i, j, k)] = tab
+                        tab[(a, b)] = acc
+                tables[(i, j, k)] = tab
 
     out = PeirceRing(l, R.modulus, blocks, tables)
 
@@ -1006,11 +1054,9 @@ def reduced_quotient(R):
                     xa = qij.section(blocks[(i, j)].gen(a))
                     for b in range(blocks[(j, k)].dim):
                         yb = qjk.section(blocks[(j, k)].gen(b))
-                        v = quots[(i, k)].proj(R.block_mul(i, j, k, xa, yb))
-                        if any(v):
-                            tab[(a, b)] = v
-                if tab:
-                    tables[(i, j, k)] = tab
+                        tab[(a, b)] = quots[(i, k)].proj(
+                            R.block_mul(i, j, k, xa, yb))
+                tables[(i, j, k)] = tab
     out = PeirceRing(l, R.modulus, blocks, tables)
     homs = {ij: quots[ij].proj for ij in quots}
     return out, PeirceHom(R, out, homs)

@@ -355,8 +355,12 @@ def solve_mod(A, b, mods, width=None):
     >>> solve_mod([[2]], [1], [4]) is None
     True
     """
-    m = len(mods)
-    lat = _graph_lattice(A, mods, width)
+    return _graph_solve(_graph_lattice(A, mods, width), len(mods), b)
+
+
+def _graph_solve(lat, m, b):
+    """One x with A x = b, read from the graph lattice of A (whose first m
+    coordinates are the target), or None: (b, 0) reduces to (0, -x)."""
     r = lat.reduce(list(b) + [0] * (lat.n - m))
     if any(r[:m]):
         return None

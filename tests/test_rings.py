@@ -1,17 +1,22 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import balanced_tensor_oracle
 from rootring.abelian import AbHom, FinAbGroup
+from rootring.corpus import grouped_entry
 from rootring.errors import (InternalAlarm, NotIdempotent,
                              NotIdempotentFamily, PreconditionFailed)
 from rootring.rings import (FinRing, LeftModule, PeirceRing, RelTensor,
-                            RightModule, check_predicates, collapse_rank,
-                            find_unit, is_firm, is_idempotent, is_reduced,
-                            mat_ring, morita_ring, peirce_from_idempotents,
-                            reduced_quotient, two_sided_annihilator,
-                            universal_ring)
+                            RightModule, Table, bilinear_apply,
+                            check_predicates, collapse_rank, find_unit,
+                            is_firm, is_idempotent, is_reduced, mat_ring,
+                            morita_ring, nonassociative_triples,
+                            peirce_from_idempotents, reduced_quotient,
+                            two_sided_annihilator, universal_ring)
 from rootring.rings import _annihilator_blocks, _is_reduced_given
 
 
@@ -57,6 +62,102 @@ def test_mat_ring_block_products():
     y = R.embed(1, 2, e12)
     assert R.mul(x, y) == R.embed(0, 2, R.block(0, 2).gen(0))
     assert R.mul(y, x) == R.additive.zero
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """A raw table on groups of exponent n (target orders divide n, so any
+    value respects the generator orders) with empty and multi-entry rows,
+    values of several non-unit coordinates, and two argument vectors."""
+    n = draw(st.sampled_from([2, 3, 4, 6, 8, 9]))
+    left = FinAbGroup([n] * draw(st.integers(1, 4)))
+    right = FinAbGroup([n] * draw(st.integers(1, 4)))
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    target = FinAbGroup(draw(st.lists(st.sampled_from(divisors),
+                                      min_size=1, max_size=3)))
+    keys = draw(st.lists(st.tuples(st.integers(0, left.dim - 1),
+                                   st.integers(0, right.dim - 1)),
+                         unique=True, max_size=left.dim * right.dim))
+    raw = {k: tuple(draw(st.integers(-n, 2 * n)) for _ in range(target.dim))
+           for k in keys}
+
+    def vector(G):
+        unit = st.integers(0, G.dim - 1).map(
+            lambda i: tuple(int(t == i) for t in range(G.dim)))
+        return draw(st.one_of(
+            st.just((0,) * G.dim),
+            unit,
+            unit.map(lambda u: tuple(-c for c in u)),
+            st.tuples(unit, st.integers(2, 2 * n + 1)).map(
+                lambda uc: tuple(c * uc[1] for c in uc[0])),
+            st.tuples(*(st.integers(0, d - 1) for d in G.orders))))
+
+    return left, right, target, raw, vector(left), vector(right)
+
+
+@given(tables_and_vectors())
+def test_bilinear_apply_is_the_double_sum(case):
+    left, right, target, raw, x, y = case
+    acc = [0] * target.dim
+    for a in range(left.dim):
+        for b in range(right.dim):
+            for i, w in enumerate(raw.get((a, b), (0,) * target.dim)):
+                acc[i] += x[a] * y[b] * w
+    expected = tuple(c % d for c, d in zip(acc, target.orders))
+    table = Table(raw, left, right, target)
+    assert bilinear_apply(table, x, y, target) == expected
+
+
+def _corrupted(ring, rng):
+    """A copy of `ring` with one to three table entries deleted or
+    replaced, built without the associativity check."""
+    tables = {key: dict(tab) for key, tab in ring.tables.items()}
+    for _ in range(rng.randint(1, 3)):
+        i, j, k = key = rng.choice(sorted(tables))
+        tab = tables[key]
+        if tab and rng.random() < 0.6:
+            del tab[rng.choice(sorted(tab))]
+        else:
+            ab = (rng.randrange(ring.block(i, j).dim),
+                  rng.randrange(ring.block(j, k).dim))
+            tab[ab] = tuple(rng.randrange(d) for d in ring.block(i, k).orders)
+    return PeirceRing(ring.rank, ring.modulus, ring.blocks, tables,
+                      check=False)
+
+
+def _brute_failures(R):
+    """Every (quad, (a, b, c)) with (xy)z != x(yz), in loop order."""
+    out = []
+    for i, j, k, l in product(range(R.rank), repeat=4):
+        dims = (R.block(i, j).dim, R.block(j, k).dim, R.block(k, l).dim)
+        for a, b, c in product(*(range(d) for d in dims)):
+            x, y, z = (tuple(int(t == g) for t in range(d))
+                       for g, d in zip((a, b, c), dims))
+            xy = R.block_mul(i, j, k, x, y)
+            yz = R.block_mul(j, k, l, y, z)
+            if R.block_mul(i, k, l, xy, z) != R.block_mul(i, j, l, x, yz):
+                out.append(((i, j, k, l), (a, b, c), not any(xy)))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mat_ring(4, FinRing.zmod(2)),
+    lambda: mat_ring(3, FinRing.zmod(4)),
+    lambda: grouped_entry(4, 2, [[0], [1], [2, 3]]).ring,
+], ids=["mat4_z2", "mat3_z4", "grouped4_z2"])
+def test_associativity_walk_matches_brute_force(make):
+    ring = make()
+    total = only_xy_vanishes = 0
+    for seed in range(20):
+        R = _corrupted(ring, random.Random(seed))
+        brute = _brute_failures(R)
+        walked = list(nonassociative_triples(
+            product(range(R.rank), repeat=4), R.block, R.block_mul))
+        assert walked == [(quad, abc) for quad, abc, _ in brute]
+        total += len(brute)
+        only_xy_vanishes += sum(vanish for _q, _abc, vanish in brute)
+    # the corruptions reach the skipped branch: failures where xy = 0
+    assert only_xy_vanishes > 0 and total > only_xy_vanishes
 
 
 def test_peirce_from_idempotents_grouped():
