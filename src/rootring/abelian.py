@@ -422,7 +422,8 @@ class TensorGroup:
 
     The group is the direct sum of Z/gcd(d_i, e_j) over generator pairs
     (pairs with coprime orders contribute nothing and are dropped).  `pure`
-    maps a pair of elements to its tensor.
+    maps a pair of elements to its tensor, and `hom` turns a biadditive map
+    on the two groups into the homomorphism out of the tensor.
     """
 
     __slots__ = ("left", "right", "group", "pairs", "pos")
@@ -447,6 +448,23 @@ class TensorGroup:
         for idx, (i, j) in enumerate(self.pairs):
             vec[idx] = a[i] * b[j]
         return self.group.reduce(vec)
+
+    def values(self, mul):
+        """mul(x, y) on the generator pairs x, y of `pairs`, in that order.
+        A dropped pair has coprime orders, so a biadditive mul is 0 there."""
+        xs, ys = self.left.gens(), self.right.gens()
+        return [mul(xs[i], ys[j]) for i, j in self.pairs]
+
+    def hom(self, target, mul):
+        """The homomorphism into target sending pure(x, y) to mul(x, y), for
+        a biadditive mul.
+
+        >>> T = TensorGroup(FinAbGroup([4]), FinAbGroup([6]))
+        >>> h = T.hom(FinAbGroup([2]), lambda x, y: (x[0] * y[0],))
+        >>> h(T.pure((1,), (3,)))
+        (1,)
+        """
+        return AbHom(self.group, target, self.values(mul))
 
     def __repr__(self):
         return "TensorGroup(%r (x) %r)" % (self.left, self.right)

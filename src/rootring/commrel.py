@@ -10,13 +10,14 @@ condition on tensor squares (firm), and a faithful bracket action
 (reduced).
 """
 
+from functools import partial
 from itertools import combinations, islice, permutations
 from typing import NamedTuple
 
 from .abelian import AbHom, DirectSum, Subgroup, TensorGroup
 from .errors import PreconditionFailed
-from .rings import (ZERO_TABLE, Table, bilinear_apply,
-                    nonassociative_triples)
+from .rings import (ZERO_TABLE, Table, associator_pairs, bilinear_apply,
+                    nonassociative_triples, relation_rows)
 
 
 class Root(NamedTuple):
@@ -167,37 +168,27 @@ def _firm_quadruple(D, i, j, k, l):
     Returns (kernel, image, ambient) inside
     (U_ij (x) U_jl) + (U_ik (x) U_kl): the kernel of the combined bracket
     into U_il, and the image of the six-term relation map whose sources are
-    U_ij (x) U_jk (x) U_kl and U_ik (x) U_kj (x) U_jl.  Firmness at the
+    U_ij (x) U_jk (x) U_kl and U_ik (x) U_kj (x) U_jl.  That image is
+    spanned by the associator relations of `rings.associator_pairs` through
+    U_jk and, with the summands swapped, through U_kj.  Firmness at the
     quadruple is kernel == image.
     """
-    Uij, Ujk, Ukl = D.module(i, j), D.module(j, k), D.module(k, l)
-    Uik, Ukj, Ujl = D.module(i, k), D.module(k, j), D.module(j, l)
-    T1 = TensorGroup(Uij, Ujl)
-    T2 = TensorGroup(Uik, Ukl)
-    amb = DirectSum([T1.group, T2.group])
-    cols = [D.cvalue(i, j, l, Uij.gen(p), Ujl.gen(q))
-            for (p, q) in T1.pairs]
-    cols += [D.cvalue(i, k, l, Uik.gen(p), Ukl.gen(q))
-             for (p, q) in T2.pairs]
-    bracket = AbHom(amb.group, D.module(i, l), cols)
-    kernel = bracket.kernel()
+    T = (TensorGroup(D.module(i, j), D.module(j, l)),
+         TensorGroup(D.module(i, k), D.module(k, l)))
+    amb = DirectSum([T[0].group, T[1].group])
+    bracket = AbHom(amb.group, D.module(i, l),
+                    T[0].values(partial(D.cvalue, i, j, l))
+                    + T[1].values(partial(D.cvalue, i, k, l)))
 
-    G = amb.group
-    gens = []
-    for x in Uij.gens():
-        for y in Ujk.gens():
-            for z in Ukl.gens():
-                v1 = T1.pure(x, D.cvalue(j, k, l, y, z))
-                v2 = T2.group.neg(T2.pure(D.cvalue(i, j, k, x, y), z))
-                gens.append(G.add(amb.embed(0, v1), amb.embed(1, v2)))
-    for u in Uik.gens():
-        for v in Ukj.gens():
-            for w in Ujl.gens():
-                v1 = T1.pure(D.cvalue(i, k, j, u, v), w)
-                v2 = T2.group.neg(T2.pure(u, D.cvalue(k, j, l, v, w)))
-                gens.append(G.add(amb.embed(0, v1), amb.embed(1, v2)))
-    image = Subgroup(G, gens)
-    return kernel, image, amb
+    def relations(m, n, p, q):
+        """x (x) yz - xy (x) z for y in U_mn, x (x) yz in summand p."""
+        pairs = associator_pairs(T[p], T[q], D.module(m, n),
+                                 partial(D.cvalue, i, m, n),
+                                 partial(D.cvalue, m, n, l))
+        return relation_rows(amb, pairs, p, q)
+
+    image = Subgroup(amb.group, relations(j, k, 0, 1) + relations(k, j, 1, 0))
+    return bracket.kernel(), image, amb
 
 
 def _require_idempotent(D):

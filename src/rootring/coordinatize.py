@@ -15,6 +15,7 @@ an exact computation with finite abelian groups.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
@@ -25,35 +26,17 @@ from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
                      NotHomomorphism, NotWellDefined, PreconditionFailed,
                      RankTooSmall)
 from .rings import (PeirceHom, PeirceRing, PredicateReport, _is_reduced_given,
-                    is_firm, is_idempotent, nonassociative_triples)
+                    associator_pairs, is_firm, is_idempotent,
+                    nonassociative_triples, relation_rows)
 
 
 # -- the relation subgroup between two tensor summands -----------------------
 
-def _relation_pairs(D, s, i, j, Ti, Tj):
-    """Pairs (a, b) with a in Ti, b in Tj such that a - b is a relation:
-    a = x (x) yz and b = xy (x) z over generator triples x in U_si,
-    y in U_ij, z in U_js."""
-    out = []
-    for x in D.module(s, i).gens():
-        for y in D.module(i, j).gens():
-            xy = D.cvalue(s, i, j, x, y)
-            for z in D.module(j, s).gens():
-                yz = D.cvalue(i, j, s, y, z)
-                out.append((Ti.pure(x, yz), Tj.pure(xy, z)))
-    return out
-
-
-def _relation_rows(amb, pairs, p, q):
-    """The differences a - b of relation pairs, with a in summand p and b in
-    summand q of the direct sum `amb`."""
-    return [amb.group.sub(amb.embed(p, a), amb.embed(q, b)) for a, b in pairs]
-
-
 def relation_subgroup(D, s, i, j):
     """The relations between the summands U_si (x) U_is and U_sj (x) U_js
     forced by associativity through U_ij, as a subgroup of their direct
-    sum: generated by (x (x) yz, -(xy) (x) z).
+    sum: generated by (x (x) yz, -(xy) (x) z), which
+    `rings.associator_pairs` builds.
 
     In any associative ring inducing the data both components of such a
     pair multiply out to the same diagonal element, so the diagonal block
@@ -64,8 +47,10 @@ def relation_subgroup(D, s, i, j):
     Ti = TensorGroup(D.module(s, i), D.module(i, s))
     Tj = TensorGroup(D.module(s, j), D.module(j, s))
     amb = DirectSum([Ti.group, Tj.group])
-    pairs = _relation_pairs(D, s, i, j, Ti, Tj)
-    return Subgroup(amb.group, _relation_rows(amb, pairs, 0, 1))
+    pairs = associator_pairs(Ti, Tj, D.module(i, j),
+                             partial(D.cvalue, s, i, j),
+                             partial(D.cvalue, i, j, s))
+    return Subgroup(amb.group, relation_rows(amb, pairs, 0, 1))
 
 
 # -- diagonal blocks as quotients (firm data) ---------------------------------
@@ -107,11 +92,13 @@ def _diagonal_presentation(D, s, order=None):
         idxs = list(order)
     tens = {i: TensorGroup(D.module(s, i), D.module(i, s)) for i in idxs}
     amb = DirectSum([tens[i].group for i in idxs])
-    pairs = {(i, j): _relation_pairs(D, s, i, j, tens[i], tens[j])
+    pairs = {(i, j): associator_pairs(tens[i], tens[j], D.module(i, j),
+                                      partial(D.cvalue, s, i, j),
+                                      partial(D.cvalue, i, j, s))
              for i, j in permutations(idxs, 2)}
     gens = []
     for (i, j), ps in pairs.items():
-        gens += _relation_rows(amb, ps, idxs.index(i), idxs.index(j))
+        gens += relation_rows(amb, ps, idxs.index(i), idxs.index(j))
     rel = Subgroup(amb.group, gens)
     return DiagonalPresentation(s=s, indices=tuple(idxs), tensors=tens,
                                 pairs=pairs, ambient=amb, relations=rel,
@@ -125,8 +112,8 @@ def _pair_quotient_bijective(pres, i, j):
     on this, so it is verified rather than trusted."""
     Ti, Tj = pres.tensors[i], pres.tensors[j]
     amb2 = DirectSum([Ti.group, Tj.group])
-    gens2 = (_relation_rows(amb2, pres.pairs[(i, j)], 0, 1)
-             + _relation_rows(amb2, pres.pairs[(j, i)], 1, 0))
+    gens2 = (relation_rows(amb2, pres.pairs[(i, j)], 0, 1)
+             + relation_rows(amb2, pres.pairs[(j, i)], 1, 0))
     q2 = quotient(amb2.group, Subgroup(amb2.group, gens2))
     cols = []
     for t, part in ((0, Ti), (1, Tj)):
@@ -503,9 +490,8 @@ def _endo_tables(D, endo):
         j1 = next(i for i in endo.others if i != k)
         Gkj, Gjs = D.module(k, j1), D.module(j1, s)
         T = TensorGroup(Gkj, Gjs)
-        dec_gens = [(Gkj.gen(a), Gjs.gen(b)) for a, b in T.pairs]
-        f = AbHom(T.group, Gks, [D.cvalue(k, j1, s, y, z)
-                                 for y, z in dec_gens])
+        dec_gens = T.values(lambda y, z: (y, z))   # (y, z) per coordinate
+        f = T.hom(Gks, partial(D.cvalue, k, j1, s))
 
         def product_vec(x, lam):
             out = endo.ambient.group.zero
@@ -703,11 +689,8 @@ def connecting_hom(D, built, original):
         if built.mode == "firm":
             cols = []
             for i in pres.indices:
-                T = pres.tensors[i]
-                Gsi, Gis = D.module(s, i), D.module(i, s)
-                for a, b in T.pairs:
-                    cols.append(original.block_mul(s, i, s, Gsi.gen(a),
-                                                   Gis.gen(b)))
+                cols += pres.tensors[i].values(
+                    partial(original.block_mul, s, i, s))
             f = AbHom(pres.ambient.group, original.blocks[(s, s)], cols)
             homs[(s, s)] = induced_map(f, pres.quot)
         else:

@@ -9,6 +9,7 @@ the role of the elementary linear group.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .abelian import AbHom, TensorGroup
 from .errors import (BlockMismatch, BoundExceeded, IndexClash, InternalAlarm,
@@ -324,9 +325,7 @@ def perfectness_and_center(R, check_action=True):
             Gij, Gjk, Gik = R.blocks[(i, j)], R.blocks[(j, k)], \
                 R.blocks[(i, k)]
             T = TensorGroup(Gij, Gjk)
-            f = AbHom(T.group, Gik, [R.block_mul(i, j, k, Gij.gen(a),
-                                                 Gjk.gen(b))
-                                     for (a, b) in T.pairs])
+            f = T.hom(Gik, partial(R.block_mul, i, j, k))
             for c in Gik.gens():
                 lam = f.preimage(c)
                 if lam is None:

@@ -26,9 +26,10 @@ from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
 # The largest rank accepted from a file header or a build command.  The
 # checks on a block ring cost about rank^4: on mat_ring(16, Z/2) `check`
 # takes 2 s and a firm roundtrip 12 s, and on a rank-60 file with empty
-# blocks `check` takes 16 s.  `build grouped` also walks the flat matrix
-# ring, about 2 size^5 generator triples: with one-index parts it takes
-# 6.9 s at size 12 and 31 s at size 16.
+# blocks `check` takes 16 s.  `build grouped` also charts every block
+# inside the flat matrix ring, whose dimension is size^2: with one-index
+# parts it takes 2.4-2.8 s at size 12 and 12-14 s at size 16, nearly all
+# of it in `peirce_from_idempotents`.
 MAX_RANK = 16
 
 
@@ -229,7 +230,8 @@ class FinRing:
 
     @classmethod
     def matrix_ring(cls, base, size):
-        """size x size matrices over a FinRing."""
+        """size x size matrices over a FinRing whose associativity and
+        unit have been checked; the flat ring is not checked again."""
         bd = base.additive.dim
         parts = [base.additive] * (size * size)
         ds = DirectSum(parts)
@@ -255,7 +257,10 @@ class FinRing:
             for r in range(size):
                 acc = G.add(acc, ds.embed(slot(r, r), base.unit))
             unit = acc
-        return cls(G, table, unit=unit, modulus=base.modulus)
+        # matrices over an associative ring associate, and the diagonal of
+        # a unit is a unit: the base was checked when it was built, so the
+        # walk over the size^2-fold flat ring would only repeat that check
+        return cls(G, table, unit=unit, modulus=base.modulus, check=False)
 
     @classmethod
     def direct_product(cls, A, B):
@@ -473,7 +478,34 @@ def peirce_from_idempotents(R, idems):
     return ring, charts
 
 
-# -- modules and balanced tensor products ------------------------------------
+# -- associator relations and balanced tensor products -----------------------
+
+
+def associator_pairs(left, right, mid, xy, yz):
+    """The pairs (x (x) yz, xy (x) z) in left x right that associativity
+    identifies, over generator triples (x, y, z) in lexicographic order.
+
+    x runs over left.left, y over `mid` and z over right.right; xy(x, y)
+    lies in right.left and yz(y, z) in left.right.  By biadditivity the
+    generator triples generate all such relations.  Balanced tensors, the
+    diagonal presentations of the firm rebuild and firmness of commutator
+    data all build their relations here.  yz is computed once per (y, z).
+    """
+    ys, zs = mid.gens(), right.right.gens()
+    yzs = [[yz(y, z) for z in zs] for y in ys]
+    out = []
+    for x in left.left.gens():
+        for y, yz_row in zip(ys, yzs):
+            xy_val = xy(x, y)
+            out += [(left.pure(x, v), right.pure(xy_val, z))
+                    for z, v in zip(zs, yz_row)]
+    return out
+
+
+def relation_rows(amb, pairs, p, q):
+    """The differences a - b of `pairs`, with a in summand p and b in
+    summand q of the direct sum `amb`."""
+    return [amb.group.sub(amb.embed(p, a), amb.embed(q, b)) for a, b in pairs]
 
 
 def _first_action_failure(module, quad):
@@ -529,8 +561,9 @@ class LeftModule:
 
 
 class RelTensor:
-    """M tensor_S N: the Z-tensor of the groups modulo middle relations
-    (m.s) x n - m x (s.n) on generator triples (enough by biadditivity)."""
+    """M tensor_S N: the Z-tensor of the groups modulo the middle relations
+    m (x) (s.n) - (m.s) (x) n, built by `associator_pairs` on generator
+    triples (enough by biadditivity)."""
 
     __slots__ = ("left", "right", "tensor", "quot", "group")
 
@@ -542,21 +575,11 @@ class RelTensor:
             raise ValueError("modules are over different rings")
         self.left = left
         self.right = right
-        M, N = left.group, right.group
-        self.tensor = TensorGroup(M, N)
+        self.tensor = TensorGroup(left.group, right.group)
         T = self.tensor.group
-        rels = []
-        for a in range(M.dim):
-            ga = M.gen(a)
-            for s in range(left.ring.additive.dim):
-                gs = left.ring.additive.gen(s)
-                ms = left.act(ga, gs)
-                for b in range(N.dim):
-                    gb = N.gen(b)
-                    sn = right.act(gs, gb)
-                    rels.append(T.sub(self.tensor.pure(ms, gb),
-                                      self.tensor.pure(ga, sn)))
-        self.quot = quotient(T, Subgroup(T, rels))
+        pairs = associator_pairs(self.tensor, self.tensor, left.ring.additive,
+                                 left.act, right.act)
+        self.quot = quotient(T, Subgroup(T, [T.sub(a, b) for a, b in pairs]))
         self.group = self.quot.group
 
     def pure(self, m, n):
@@ -566,12 +589,7 @@ class RelTensor:
         """The homomorphism group -> target sending pure(m, n) to
         on_pure(m, n); on_pure is evaluated on generator pairs and must be
         balanced or NotWellDefined is raised."""
-        cols = []
-        for (i, j) in self.tensor.pairs:
-            cols.append(on_pure(self.left.group.gen(i),
-                                self.right.group.gen(j)))
-        f = AbHom(self.tensor.group, target, cols)
-        return induced_map(f, self.quot)
+        return induced_map(self.tensor.hom(target, on_pure), self.quot)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -724,27 +742,21 @@ class PeirceHom:
         return out
 
     def multiplicativity_failures(self, limit=1):
-        out = []
-        l = self.source.rank
-        for i in range(l):
-            for j in range(l):
-                Gij = self.source.blocks[(i, j)]
-                for k in range(l):
-                    Gjk = self.source.blocks[(j, k)]
-                    for a in range(Gij.dim):
-                        ga = Gij.gen(a)
-                        fa = self.homs[(i, j)](ga)
-                        for b in range(Gjk.dim):
-                            gb = Gjk.gen(b)
-                            lhs = self.homs[(i, k)](
-                                self.source.block_mul(i, j, k, ga, gb))
-                            rhs = self.target.block_mul(i, j, k, fa,
-                                                        self.homs[(j, k)](gb))
-                            if lhs != rhs:
-                                out.append(((i, j, k), (a, b)))
-                                if len(out) >= limit:
-                                    return out
-        return out
+        """The first `limit` ((i, j, k), (a, b)) in lexicographic order at
+        which f(xy) != f(x) f(y) for generators x, y of blocks (i, j) and
+        (j, k).  Each block hom is applied to each generator once."""
+        src, tgt, homs = self.source, self.target, self.homs
+        images = {ij: [h(g) for g in src.blocks[ij].gens()]
+                  for ij, h in homs.items()}
+        bad = (((i, j, k), (a, b))
+               for i, j, k in product(range(src.rank), repeat=3)
+               for a, (x, fx) in enumerate(zip(src.blocks[(i, j)].gens(),
+                                               images[(i, j)]))
+               for b, (y, fy) in enumerate(zip(src.blocks[(j, k)].gens(),
+                                               images[(j, k)]))
+               if homs[(i, k)](src.block_mul(i, j, k, x, y))
+               != tgt.block_mul(i, j, k, fx, fy))
+        return list(islice(bad, limit))
 
     def is_ring_hom(self):
         return not self.multiplicativity_failures()
@@ -840,64 +852,33 @@ def morita_ring(R, P, Q, pairing):
 
     S = RelTensor(P, Q)
 
-    def s_decompose(u):
-        """Tensor coordinates of a representative of u in P (x) Q."""
-        return S.quot.section(u)
+    # an element u of S acts through the tensor coordinates of its section:
+    # (p (x) q) p2 = p (q, p2), q2 (p (x) q) = (q2, p) q, and the product
+    # (p (x) q) v is the tensor of (p (x) q) p2 and q2 over v = p2 (x) q2
+    def s_times_p(u, p2):
+        return S.tensor.hom(P.group, lambda p, q: P.act(p, pair(q, p2)))(
+            S.quot.section(u))
 
-    def table_from(fun, left_group, right_group, target):
-        tab = {}
-        for a in range(left_group.dim):
-            for b in range(right_group.dim):
-                tab[(a, b)] = fun(left_group.gen(a), right_group.gen(b))
-        return tab
+    def q_times_s(q2, u):
+        return S.tensor.hom(Q.group, lambda p, q: Q.act(pair(q2, p), q))(
+            S.quot.section(u))
 
     def s_times_s(u, v):
-        acc = S.group.zero
-        cu = s_decompose(u)
-        cv = s_decompose(v)
-        for idx1, (a, b) in enumerate(S.tensor.pairs):
-            if not cu[idx1]:
-                continue
-            pa = P.group.gen(a)
-            qb = Q.group.gen(b)
-            for idx2, (c, d) in enumerate(S.tensor.pairs):
-                co = cu[idx1] * cv[idx2]
-                if not co:
-                    continue
-                mid = P.act(pa, pair(qb, P.group.gen(c)))
-                acc = S.group.add(acc, S.group.scale(
-                    co, S.pure(mid, Q.group.gen(d))))
-        return acc
+        return S.tensor.hom(S.group, lambda p, q: S.pure(s_times_p(u, p), q))(
+            S.quot.section(v))
 
-    def s_times_p(u, p):
-        acc = P.group.zero
-        cu = s_decompose(u)
-        for idx, (a, b) in enumerate(S.tensor.pairs):
-            if not cu[idx]:
-                continue
-            v = P.act(P.group.gen(a), pair(Q.group.gen(b), p))
-            acc = P.group.add(acc, P.group.scale(cu[idx], v))
-        return acc
-
-    def q_times_s(q, u):
-        acc = Q.group.zero
-        cu = s_decompose(u)
-        for idx, (a, b) in enumerate(S.tensor.pairs):
-            if not cu[idx]:
-                continue
-            v = Q.act(pair(q, P.group.gen(a)), Q.group.gen(b))
-            acc = Q.group.add(acc, Q.group.scale(cu[idx], v))
-        return acc
+    def table_from(fun, left_group, right_group):
+        return {(a, b): fun(x, y) for a, x in enumerate(left_group.gens())
+                for b, y in enumerate(right_group.gens())}
 
     blocks = {(0, 0): S.group, (0, 1): P.group,
               (1, 0): Q.group, (1, 1): R.additive}
     tables = {
-        (0, 0, 0): table_from(s_times_s, S.group, S.group, S.group),
-        (0, 0, 1): table_from(s_times_p, S.group, P.group, P.group),
-        (0, 1, 0): table_from(lambda p, q: S.pure(p, q),
-                              P.group, Q.group, S.group),
+        (0, 0, 0): table_from(s_times_s, S.group, S.group),
+        (0, 0, 1): table_from(s_times_p, S.group, P.group),
+        (0, 1, 0): table_from(S.pure, P.group, Q.group),
         (0, 1, 1): dict(P.table),
-        (1, 0, 0): table_from(q_times_s, Q.group, S.group, Q.group),
+        (1, 0, 0): table_from(q_times_s, Q.group, S.group),
         (1, 0, 1): dict(pairing),
         (1, 1, 0): dict(Q.table),
         (1, 1, 1): dict(R.table),
@@ -920,115 +901,67 @@ def universal_ring(R):
     total = R.as_finring()
     G = total.additive
 
-    rows = {}
-    cols = {}
-    row_parts = {i: [(i, j) for j in range(l)] for i in range(l)}
-    col_parts = {j: [(i, j) for i in range(l)] for j in range(l)}
-    for i in range(l):
-        ds = DirectSum([R.blocks[ij] for ij in row_parts[i]])
-        rows[i] = (ds, {ij: t for t, ij in enumerate(row_parts[i])})
-    for j in range(l):
-        ds = DirectSum([R.blocks[ij] for ij in col_parts[j]])
-        cols[j] = (ds, {ij: t for t, ij in enumerate(col_parts[j])})
+    def strip(parts, side):
+        """The blocks `parts` of R summed into one group: the module it is
+        over the total ring acting on `side`, its inclusion into the total
+        ring (each generator embedded once) and the projection back."""
+        ds = DirectSum([R.blocks[ij] for ij in parts])
+        incl = AbHom(ds.group, G, [R.embed(*ij, g) for ij in parts
+                                   for g in R.blocks[ij].gens()])
 
-    def row_embed(i, vec):
-        ds, pos = rows[i]
-        out = G.zero
-        for ij, t in pos.items():
-            out = G.add(out, R.embed(*ij, ds.project(t, vec)))
-        return out
+        def project(vec):
+            return ds.assemble([R.project(*ij, vec) for ij in parts])
 
-    def row_project(i, total_vec):
-        ds, pos = rows[i]
-        return ds.assemble([R.project(*ij, total_vec) for ij in row_parts[i]])
+        if side == "right":
+            mod = RightModule(ds.group, total, {
+                (a, s): project(total.mul(x, g))
+                for a, x in enumerate(incl.cols)
+                for s, g in enumerate(G.gens())}, check=False)
+        else:
+            mod = LeftModule(ds.group, total, {
+                (s, a): project(total.mul(g, x))
+                for s, g in enumerate(G.gens())
+                for a, x in enumerate(incl.cols)}, check=False)
+        return mod, incl, project
 
-    def col_embed(j, vec):
-        ds, pos = cols[j]
-        out = G.zero
-        for ij, t in pos.items():
-            out = G.add(out, R.embed(*ij, ds.project(t, vec)))
-        return out
-
-    def col_project(j, total_vec):
-        ds, pos = cols[j]
-        return ds.assemble([R.project(*ij, total_vec) for ij in col_parts[j]])
-
-    def right_table(i):
-        ds, _pos = rows[i]
-        tab = {}
-        for a in range(ds.group.dim):
-            xa = row_embed(i, ds.group.gen(a))
-            for s in range(G.dim):
-                tab[(a, s)] = row_project(i, total.mul(xa, G.gen(s)))
-        return tab
-
-    def left_table(j):
-        ds, _pos = cols[j]
-        tab = {}
-        for s in range(G.dim):
-            gs = G.gen(s)
-            for a in range(ds.group.dim):
-                tab[(s, a)] = col_project(
-                    j, total.mul(gs, col_embed(j, ds.group.gen(a))))
-        return tab
-
-    row_mods = {i: RightModule(rows[i][0].group, total, right_table(i),
-                               check=False) for i in range(l)}
-    col_mods = {j: LeftModule(cols[j][0].group, total, left_table(j),
-                              check=False) for j in range(l)}
-
-    tens = {(i, j): RelTensor(row_mods[i], col_mods[j])
+    row_mod, row_incl, row_proj = zip(*(
+        strip([(i, j) for j in range(l)], "right") for i in range(l)))
+    col_mod, col_incl, _ = zip(*(
+        strip([(i, j) for i in range(l)], "left") for j in range(l)))
+    tens = {(i, j): RelTensor(row_mod[i], col_mod[j])
             for i in range(l) for j in range(l)}
-
     blocks = {ij: tens[ij].group for ij in tens}
+    sections = {ij: [t.quot.section(g) for g in t.group.gens()]
+                for ij, t in tens.items()}
 
-    def pure_mul(i, j, k, x, y, x2, y2):
-        """((x tensor y) times (x2 tensor y2)) in row/col coordinates."""
-        inner = total.mul(col_embed(j, y), row_embed(j, x2))
-        left = row_project(i, total.mul(row_embed(i, x), inner))
-        return tens[(i, k)].pure(left, y2)
-
+    # (x (x) y)(x2 (x) y2) = x (y x2) (x) y2, summed over the tensor
+    # coordinates of the sections of two generators
     tables = {}
-    for i in range(l):
-        for j in range(l):
-            tij = tens[(i, j)]
-            for k in range(l):
-                tjk = tens[(j, k)]
-                tab = {}
-                for a in range(tij.group.dim):
-                    ca = tij.quot.section(tij.group.gen(a))
-                    for b in range(tjk.group.dim):
-                        cb = tjk.quot.section(tjk.group.gen(b))
-                        acc = tens[(i, k)].group.zero
-                        for idx1, (p1, p2) in enumerate(tij.tensor.pairs):
-                            if not ca[idx1]:
-                                continue
-                            x = tij.left.group.gen(p1)
-                            y = tij.right.group.gen(p2)
-                            for idx2, (q1, q2) in enumerate(tjk.tensor.pairs):
-                                co = ca[idx1] * cb[idx2]
-                                if not co:
-                                    continue
-                                x2 = tjk.left.group.gen(q1)
-                                y2 = tjk.right.group.gen(q2)
-                                acc = tens[(i, k)].group.add(
-                                    acc, tens[(i, k)].group.scale(
-                                        co, pure_mul(i, j, k, x, y, x2, y2)))
-                        tab[(a, b)] = acc
-                tables[(i, j, k)] = tab
+    for i, j, k in product(range(l), repeat=3):
+        tij, tjk, tik = tens[(i, j)], tens[(j, k)], tens[(i, k)]
+        xs, ys, x2s = row_incl[i].cols, col_incl[j].cols, row_incl[j].cols
+        y2s = tjk.right.group.gens()
+        tab = {}
+        for a, ca in enumerate(sections[(i, j)]):
+            for b, cb in enumerate(sections[(j, k)]):
+                acc = tik.group.zero
+                for c1, (p1, p2) in zip(ca, tij.tensor.pairs):
+                    if not c1:
+                        continue
+                    for c2, (q1, q2) in zip(cb, tjk.tensor.pairs):
+                        if c2:
+                            x = row_proj[i](total.mul(xs[p1], total.mul(
+                                ys[p2], x2s[q1])))
+                            acc = tik.group.add(acc, tik.group.scale(
+                                c1 * c2, tik.pure(x, y2s[q2])))
+                tab[(a, b)] = acc
+        tables[(i, j, k)] = tab
 
     out = PeirceRing(l, R.modulus, blocks, tables)
-
-    homs = {}
-    for i in range(l):
-        for j in range(l):
-            t = tens[(i, j)]
-
-            def on_pure(x, y, i=i, j=j):
-                return R.project(i, j, total.mul(row_embed(i, x),
-                                                 col_embed(j, y)))
-
-            homs[(i, j)] = t.induced_hom(R.blocks[(i, j)], on_pure)
+    homs = {(i, j): t.induced_hom(
+        R.blocks[(i, j)], lambda x, y, i=i, j=j: R.project(
+            i, j, total.mul(row_incl[i](x), col_incl[j](y))))
+        for (i, j), t in tens.items()}
     return out, PeirceHom(out, R, homs)
 
 

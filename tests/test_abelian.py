@@ -10,6 +10,7 @@ from oracles import _free_pairs, _step_relations, tensor_oracle
 from rootring.abelian import (AbHom, DirectSum, FinAbGroup, Subgroup,
                               TensorGroup, induced_map, quotient)
 from rootring.errors import NotWellDefined
+from rootring.rings import Table, bilinear_apply
 from rootring.smith import kernel_mod, smith_normal_form, solve_mod
 
 group_orders = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]),
@@ -241,6 +242,50 @@ def test_tensor_pure_bilinear(a_inst, b_inst):
         lhs = T.pure(aa[0], B.add(bb[0], bb[1]))
         rhs = T.group.add(T.pure(aa[0], bb[0]), T.pure(aa[0], bb[1]))
         assert lhs == rhs
+
+
+@st.composite
+def biadditive_tables(draw):
+    """Groups A, B, C, a valid structure table A x B -> C and elements x,
+    y.  The value at (a, b) is a random element killed by
+    g = gcd(ord a, ord b): in Z/c those are the multiples of c / gcd(c, g),
+    so pairs of coprime orders get 0 and every other pair may be nonzero."""
+    orders = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), max_size=3)
+    A, B = FinAbGroup(draw(orders)), FinAbGroup(draw(orders))
+    C = FinAbGroup(draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]),
+                                 min_size=1, max_size=3)))
+    raw = {}
+    for a, d in enumerate(A.orders):
+        for b, e in enumerate(B.orders):
+            g = gcd(d, e)
+            raw[(a, b)] = tuple(draw(st.integers(0, c - 1)) * (c // gcd(c, g))
+                                for c in C.orders)
+
+    def element(G):
+        return draw(st.tuples(*(st.integers(0, d - 1) for d in G.orders)))
+
+    return A, B, C, Table(raw, A, B, C), element(A), element(B)
+
+
+@given(biadditive_tables())
+def test_tensor_hom_is_the_double_sum(case):
+    A, B, C, table, x, y = case
+    T = TensorGroup(A, B)
+
+    def mul(u, v):
+        return bilinear_apply(table, u, v, C)
+
+    h = T.hom(C, mul)
+    assert h.cols == tuple(T.values(mul))
+    acc = [0] * C.dim
+    for a in range(A.dim):
+        for b in range(B.dim):
+            for i, w in enumerate(table.get((a, b), C.zero)):
+                acc[i] += x[a] * y[b] * w
+    assert h(T.pure(x, y)) == C.reduce(acc)
+    # the dropped pairs of coprime orders take nothing from the image
+    products = [mul(u, v) for u in A.gens() for v in B.gens()]
+    assert h.image() == Subgroup(C, products)
 
 
 @pytest.mark.parametrize("oa,ob", [

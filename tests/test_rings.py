@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import balanced_tensor_oracle
 from rootring.abelian import AbHom, FinAbGroup
-from rootring.corpus import grouped_entry
+from rootring.corpus import grouped_entry, morita_entry
 from rootring.errors import (InternalAlarm, NotIdempotent,
                              NotIdempotentFamily, PreconditionFailed)
-from rootring.rings import (FinRing, LeftModule, PeirceRing, RelTensor,
-                            RightModule, Table, bilinear_apply,
+from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
+                            RelTensor, RightModule, Table, bilinear_apply,
                             check_predicates, collapse_rank, find_unit,
                             is_firm, is_idempotent, is_reduced, mat_ring,
                             morita_ring, nonassociative_triples,
@@ -158,6 +159,72 @@ def test_associativity_walk_matches_brute_force(make):
         only_xy_vanishes += sum(vanish for _q, _abc, vanish in brute)
     # the corruptions reach the skipped branch: failures where xy = 0
     assert only_xy_vanishes > 0 and total > only_xy_vanishes
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_matrix_ring_passes_the_check_it_skips(size, n):
+    # matrix_ring builds the flat ring unchecked; run that check here
+    M = FinRing.matrix_ring(FinRing.zmod(n), size)
+    assert M.associativity_failures() == []
+    assert M.unit is not None
+    for g in M.additive.gens():
+        assert M.mul(M.unit, g) == g and M.mul(g, M.unit) == g
+
+
+def _reference_multiplicativity(f, limit):
+    """The (i, j, k), (a, b) with f(xy) != f(x) f(y), as a nested loop."""
+    out = []
+    l = f.source.rank
+    for i in range(l):
+        for j in range(l):
+            Gij = f.source.blocks[(i, j)]
+            for k in range(l):
+                Gjk = f.source.blocks[(j, k)]
+                for a in range(Gij.dim):
+                    ga = Gij.gen(a)
+                    for b in range(Gjk.dim):
+                        gb = Gjk.gen(b)
+                        lhs = f.homs[(i, k)](
+                            f.source.block_mul(i, j, k, ga, gb))
+                        rhs = f.target.block_mul(i, j, k, f.homs[(i, j)](ga),
+                                                 f.homs[(j, k)](gb))
+                        if lhs != rhs:
+                            out.append(((i, j, k), (a, b)))
+                            if len(out) >= limit:
+                                return out
+    return out
+
+
+def _random_endo(G, rng):
+    """A random endomorphism of G: each image coordinate of order c is a
+    multiple of c / gcd(c, d) for a generator of order d."""
+    return AbHom(G, G, [tuple(rng.randrange(c) * (c // gcd(c, d))
+                              for c in G.orders) for d in G.orders])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mat_ring(3, FinRing.zmod(4)),
+    lambda: grouped_entry(4, 2, [[0], [1], [2, 3]]).ring,
+    lambda: morita_entry().ring,
+    lambda: mat_ring(3, FinRing.direct_product(FinRing.zmod(2),
+                                               FinRing.zmod(3))),
+], ids=["mat3_z4", "grouped4_z2", "morita", "mat3_z2xz3"])
+def test_multiplicativity_witnesses_match_nested_loop(make):
+    R = make()
+    failing = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        homs = {ij: AbHom.identity(G) for ij, G in R.blocks.items()}
+        for ij in rng.sample(sorted(R.blocks), rng.randint(1, 3)):
+            homs[ij] = _random_endo(R.blocks[ij], rng)
+        f = PeirceHom(R, R, homs)
+        full = _reference_multiplicativity(f, 10 ** 9)
+        assert f.multiplicativity_failures(limit=10 ** 9) == full
+        assert f.multiplicativity_failures() == full[:1]
+        assert f.is_ring_hom() == (not full)
+        failing += bool(full)
+    assert failing >= 20
 
 
 def test_peirce_from_idempotents_grouped():
@@ -337,8 +404,6 @@ def test_tensor_over_ring_matches_element_oracle():
         M.group, N.group, list(M.ring.additive.elements()),
         M.act, N.act)
     assert oracle.group.invariant_factors() == t.group.invariant_factors()
-    cols = [oracle.pure(M.group.gen(a), N.group.gen(b))
-            for (a, b) in t.tensor.pairs]
     iso = t.induced_hom(oracle.group,
                         lambda x, y: oracle.pure(x, y))
     assert iso.is_isomorphism()
