@@ -39,7 +39,8 @@ VERBS = (("check",), ("extract",),
          ("roundtrip", "--mode", "reduced"))
 
 BUILDS = ("grouped 6 2 1|2|3|4|56", "grouped 7 2 1|2|3|4|567",
-          "grouped 8 2 12|34|56|78", "grouped 5 4 1|2|3|45")
+          "grouped 8 2 12|34|56|78", "grouped 5 4 1|2|3|45",
+          "grouped 6 3 31|2|546", "grouped 12 2 1|2|3|4|5|6|7|8|9|10|11|12")
 
 
 def annihilated_mat4():

@@ -484,3 +484,10 @@ def test_reduced_quotient_identity_when_reduced():
     assert hom.is_ring_hom()
     assert hom.is_blockwise_iso()
     assert is_reduced(Q)[0]
+
+
+def test_grouped_entry_refuses_a_bad_partition():
+    with pytest.raises(PreconditionFailed):
+        grouped_entry(2, 2, [[0], [0, 1]])    # index 0 twice
+    with pytest.raises(PreconditionFailed):
+        grouped_entry(2, 2, [[0]])            # index 1 missing
