@@ -7,8 +7,9 @@ rank at least 4: for firm data each diagonal block is a quotient of a
 sum of tensor squares, for reduced data it is a subgroup of a product
 of endomorphism modules.  Both come with certificates: the internal
 consistency facts the constructions rely on are all checked at run
-time, and `connecting_hom` produces the comparison isomorphism onto any
-ring carrying the same data, which is what uniqueness means concretely.
+time, and `connecting_hom` produces the comparison map onto any ring
+carrying the same data and reports whether it is an isomorphism.  That
+shows an isomorphism exists; nothing here checks that it is the only one.
 
 Nothing here is randomized and nothing is approximated; every check is
 an exact computation with finite abelian groups.
@@ -616,7 +617,7 @@ def firm_coordinatize(D, summand_order=None):
     explicit kernel checks.  `summand_order` optionally reorders the
     tensor summands per diagonal index ({s: permutation of the others});
     the result is then presented differently but is the same ring up to
-    the connecting isomorphism, which is the uniqueness statement.
+    the connecting isomorphism.
     """
     _require_gates(D, "firm")
     return _construct(D, "firm", summand_order)
@@ -666,7 +667,8 @@ def connecting_hom(D, built, original):
     product its tensors (firm mode) or generating triples (reduced mode)
     multiply out to inside `original`.  Multiplicativity is verified on
     all generator pairs and bijectivity is reported per block, so running
-    this against the extraction source proves the reconstruction unique.
+    this against the extraction source shows that the reconstruction is
+    isomorphic to it; it does not show that the isomorphism is unique.
     """
     if built.ring.rank != original.rank or D.rank != original.rank:
         raise PreconditionFailed("rank mismatch")

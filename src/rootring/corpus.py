@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .abelian import FinAbGroup, Subgroup
 from .rings import (FinRing, LeftModule, PeirceRing, RightModule, mat_ring,
-                    morita_ring, peirce_from_idempotents)
+                    morita_ring, regroup)
 
 
 @dataclass
@@ -26,28 +26,19 @@ class CorpusEntry:
 
 
 def matrix_entry(rank, n):
-    base = FinRing.zmod(n)
-    R = mat_ring(rank, base)
-    flat = R.as_finring()
-    idems = []
-    for i in range(rank):
-        e = [0] * flat.additive.dim
-        e[R.ds.offsets[R._slot[(i, i)]]] = 1
-        idems.append(tuple(e))
-    return CorpusEntry("mat_%d_z%d" % (rank, n), R, source=flat, idems=idems)
+    entry = grouped_entry(rank, n, [[i] for i in range(rank)])
+    entry.name = "mat_%d_z%d" % (rank, n)
+    return entry
 
 
 def grouped_entry(size, n, partition):
-    """Peirce decomposition of Mat(size, Z/n) along diagonal idempotents
-    summed over the parts of `partition` (0-based index lists)."""
-    M = FinRing.matrix_ring(FinRing.zmod(n), size)
-    idems = []
-    for part in partition:
-        e = [0] * M.additive.dim
-        for t in part:
-            e[t * size + t] = 1
-        idems.append(tuple(e))
-    ring, _ = peirce_from_idempotents(M, idems)
+    """Mat(size, Z/n) with its blocks merged along `partition` (0-based
+    index lists), its flat ring and one diagonal idempotent per part."""
+    base = FinRing.zmod(n)
+    M = FinRing.matrix_ring(base, size)
+    ring = regroup(mat_ring(size, base), partition)
+    G = M.additive
+    idems = [G.sum(G.gen(t * size + t) for t in part) for part in partition]
     label = "x".join(str(len(p)) for p in partition)
     return CorpusEntry("grouped_%d_z%d_%s" % (size, n, label), ring,
                        source=M, idems=idems)

@@ -10,7 +10,10 @@ no extra structure, just a recorded scalar ring.
 Everything is checked at construction by default: structure constants must
 respect generator orders (that is exactly biadditive well-definedness) and
 associativity is verified on all generator triples, which is enough by
-biadditivity.
+biadditivity.  `FinRing.matrix_ring`, `mat_ring` and `regroup` skip the
+associativity walk, which could find nothing there: matrices over a checked
+base ring associate, and `regroup` keeps the multiplication and the flat
+group of its input and only merges block indices.
 """
 
 from dataclasses import dataclass
@@ -26,10 +29,9 @@ from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
 # The largest rank accepted from a file header or a build command.  The
 # checks on a block ring cost about rank^4: on mat_ring(16, Z/2) `check`
 # takes 2 s and a firm roundtrip 12 s, and on a rank-60 file with empty
-# blocks `check` takes 16 s.  `build grouped` also charts every block
-# inside the flat matrix ring, whose dimension is size^2: with one-index
-# parts it takes 2.4-2.8 s at size 12 and 12-14 s at size 16, nearly all
-# of it in `peirce_from_idempotents`.
+# blocks `check` takes 16 s.  `build grouped` merges the blocks of
+# mat_ring(size, Z/n) through `regroup`, so it costs what the size^2 blocks
+# cost: with one-index parts 0.5-0.6 s at size 12 and 1.2-1.6 s at size 16.
 MAX_RANK = 16
 
 
@@ -230,37 +232,14 @@ class FinRing:
 
     @classmethod
     def matrix_ring(cls, base, size):
-        """size x size matrices over a FinRing whose associativity and
-        unit have been checked; the flat ring is not checked again."""
-        bd = base.additive.dim
-        parts = [base.additive] * (size * size)
-        ds = DirectSum(parts)
-        G = ds.group
-
-        def slot(r, c):
-            return (r * size + c)
-
-        table = {}
-        for r in range(size):
-            for c in range(size):
-                for t in range(bd):
-                    g1 = ds.offsets[slot(r, c)] + t
-                    for c2 in range(size):
-                        for t2 in range(bd):
-                            g2 = ds.offsets[slot(c, c2)] + t2
-                            v = base.table.get((t, t2))
-                            if v is not None:
-                                table[(g1, g2)] = ds.embed(slot(r, c2), v)
-        unit = None
-        if base.unit is not None:
-            acc = G.zero
-            for r in range(size):
-                acc = G.add(acc, ds.embed(slot(r, r), base.unit))
-            unit = acc
-        # matrices over an associative ring associate, and the diagonal of
-        # a unit is a unit: the base was checked when it was built, so the
-        # walk over the size^2-fold flat ring would only repeat that check
-        return cls(G, table, unit=unit, modulus=base.modulus, check=False)
+        """size x size matrices over a checked FinRing: the flat view of
+        mat_ring(size, base), with the diagonal unit if the base has one."""
+        R = mat_ring(size, base)
+        unit = None if base.unit is None else R.additive.sum(
+            R.embed(r, r, base.unit) for r in range(size))
+        # unchecked for mat_ring's reason; the diagonal of a unit is a unit
+        return cls(R.additive, R._flat, unit=unit, modulus=base.modulus,
+                   check=False)
 
     @classmethod
     def direct_product(cls, A, B):
@@ -391,10 +370,6 @@ class PeirceRing:
         return bilinear_apply(self.tables.get((i, j, k), ZERO_TABLE), x, y,
                               self.blocks[(i, k)])
 
-    def block_subgroup(self, i, j):
-        G = self.blocks[(i, j)]
-        return Subgroup(self.ds.group, [self.embed(i, j, g) for g in G.gens()])
-
     def associativity_failures(self, limit=1):
         bad = nonassociative_triples(product(range(self.rank), repeat=4),
                                      self.block, self.block_mul)
@@ -415,15 +390,55 @@ def mat_ring(rank, base):
     >>> R.block(0, 1).orders
     (2,)
     """
+    blocks = {ij: base.additive for ij in product(range(rank), repeat=2)}
+    tables = {ijk: base.table for ijk in product(range(rank), repeat=3)
+              if base.table}
+    # matrices over an associative ring associate and the base was checked
+    # when it was built: a walk over the rank^4 quadruples would repeat that
+    return PeirceRing(rank, base.modulus, blocks, tables, check=False)
+
+
+def regroup(R, partition):
+    """The same ring graded by merged indices: part a of `partition`, a
+    list of R's block indices (the parts cover each index once), becomes
+    index a.  Block (a, b) is the direct sum of the R_ij, i in part a and
+    j in part b, taken in R's flat order (row-major over sorted parts).
+
+    >>> S = regroup(mat_ring(3, FinRing.zmod(2)), [[2, 0], [1]])
+    >>> S.block(0, 0).orders, S.block(0, 1).orders
+    ((2, 2, 2, 2), (2, 2))
+    """
+    parts = [sorted(part) for part in partition]
+    where = {}
+    for a, part in enumerate(parts):
+        for i in part:
+            if i in where or i not in range(R.rank):
+                raise NotIdempotentFamily("index %d is %s" % (
+                    i, "in two parts" if i in where else "out of range"))
+            where[i] = a
+    for i in range(R.rank):
+        if i not in where:
+            raise NotIdempotentFamily("partition misses index %d" % i)
     blocks = {}
+    cell = {}    # (i, j) -> (the direct sum holding R_ij, its place there)
+    for a, pa in enumerate(parts):
+        for b, pb in enumerate(parts):
+            cells = [(i, j) for i in pa for j in pb]
+            ds = DirectSum([R.blocks[ij] for ij in cells])
+            blocks[(a, b)] = ds.group
+            for t, ij in enumerate(cells):
+                cell[ij] = ds, t
     tables = {}
-    for i in range(rank):
-        for j in range(rank):
-            blocks[(i, j)] = base.additive
-            for k in range(rank):
-                if base.table:
-                    tables[(i, j, k)] = dict(base.table)
-    return PeirceRing(rank, base.modulus, blocks, tables)
+    for (i, j, k), tab in R.tables.items():
+        (ds1, t1), (ds2, t2) = cell[(i, j)], cell[(j, k)]
+        ds3, t3 = cell[(i, k)]
+        off1, off2 = ds1.offsets[t1], ds2.offsets[t2]
+        dest = tables.setdefault((where[i], where[j], where[k]), {})
+        for (x, y), v in tab.items():
+            dest[(off1 + x, off2 + y)] = ds3.embed(t3, v)
+    # the same multiplication on the same flat group, only graded more
+    # coarsely: the walk could find nothing that R does not already have
+    return PeirceRing(len(parts), R.modulus, blocks, tables, check=False)
 
 
 def peirce_from_idempotents(R, idems):
@@ -767,40 +782,11 @@ class PeirceHom:
 
 def collapse_rank(R):
     """Merge the last two block indices into one, keeping the underlying
-    ring identical.  The new last block groups are direct sums of the old
-    ones in index order."""
+    ring identical (see `regroup`)."""
     if R.rank < 2:
         raise RankTooSmall("need rank at least 2 to collapse")
-    l = R.rank
-    new_l = l - 1
-
-    def cls(t):
-        return [t] if t < new_l - 1 else [l - 2, l - 1]
-
-    sums = {}
-    blocks = {}
-    for a in range(new_l):
-        for b in range(new_l):
-            parts = [(i, j) for i in cls(a) for j in cls(b)]
-            ds = DirectSum([R.blocks[ij] for ij in parts])
-            sums[(a, b)] = (ds, {ij: t for t, ij in enumerate(parts)})
-            blocks[(a, b)] = ds.group
-
-    def phi(t):
-        return min(t, new_l - 1)
-
-    tables = {}
-    for (i, j, k), tab in R.tables.items():
-        a, b, c = phi(i), phi(j), phi(k)
-        ds_ab, pos_ab = sums[(a, b)]
-        ds_bc, pos_bc = sums[(b, c)]
-        ds_ac, pos_ac = sums[(a, c)]
-        dest = tables.setdefault((a, b, c), {})
-        off1 = ds_ab.offsets[pos_ab[(i, j)]]
-        off2 = ds_bc.offsets[pos_bc[(j, k)]]
-        for (x, y), v in tab.items():
-            dest[(off1 + x, off2 + y)] = ds_ac.embed(pos_ac[(i, k)], v)
-    return PeirceRing(new_l, R.modulus, blocks, tables)
+    return regroup(R, [[i] for i in range(R.rank - 2)]
+                   + [[R.rank - 2, R.rank - 1]])
 
 
 def morita_ring(R, P, Q, pairing):

@@ -92,6 +92,14 @@ def test_build_grouped(tmp_path):
     assert R.blocks[(3, 3)].order == 16
 
 
+def test_grouping_by_one_index_parts_builds_the_matrix_ring(capsys):
+    parts = "|".join(str(t) for t in range(1, rings.MAX_RANK + 1))
+    assert main(["build", "grouped", str(rings.MAX_RANK), "2", parts]) == 0
+    grouped = capsys.readouterr().out
+    assert main(["build", "mat", str(rings.MAX_RANK), "2"]) == 0
+    assert grouped == capsys.readouterr().out
+
+
 def test_build_morita_and_file_canonicalize(tmp_path, capsys):
     p = str(tmp_path / "m.ring")
     assert main(["build", "morita", "-o", p]) == 0

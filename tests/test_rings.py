@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import balanced_tensor_oracle
-from rootring.abelian import AbHom, FinAbGroup
-from rootring.corpus import grouped_entry, morita_entry
+from test_corpus_digests import annihilated_mat4
+from rootring.abelian import AbHom, DirectSum, FinAbGroup
+from rootring.corpus import (grouped_entry, morita_entry, standard_corpus,
+                             zero_entry)
 from rootring.errors import (InternalAlarm, NotIdempotent,
                              NotIdempotentFamily, PreconditionFailed)
 from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
@@ -17,7 +19,7 @@ from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
                             is_firm, is_idempotent, is_reduced, mat_ring,
                             morita_ring, nonassociative_triples,
                             peirce_from_idempotents, reduced_quotient,
-                            two_sided_annihilator, universal_ring)
+                            regroup, two_sided_annihilator, universal_ring)
 from rootring.rings import _annihilator_blocks, _is_reduced_given
 
 
@@ -43,14 +45,48 @@ def test_constructor_rejects_bad_orders():
         FinRing(G, {(0, 0): (0, 1)})
 
 
+# the bases of the matrix-ring tests: three cyclic rings and one of
+# dimension 2, so that blocks have more than one generator
+BASES = [FinRing.zmod(2), FinRing.zmod(4), FinRing.zmod(6),
+         FinRing.direct_product(FinRing.zmod(2), FinRing.zmod(3))]
+BASE_IDS = ["2", "4", "6", "2x3"]
+
+
+def _entrywise_matrix_ring(base, size):
+    """size x size matrices over `base` as a flat FinRing, written out
+    entry by entry (row-major) with the diagonal unit: the reference for
+    FinRing.matrix_ring and mat_ring, sharing no code with them."""
+    bd = base.additive.dim
+    ds = DirectSum([base.additive] * (size * size))
+
+    def slot(r, c):
+        return r * size + c
+
+    table = {}
+    for r in range(size):
+        for c in range(size):
+            for t in range(bd):
+                g1 = ds.offsets[slot(r, c)] + t
+                for c2 in range(size):
+                    for t2 in range(bd):
+                        g2 = ds.offsets[slot(c, c2)] + t2
+                        v = base.table.get((t, t2))
+                        if v is not None:
+                            table[(g1, g2)] = ds.embed(slot(r, c2), v)
+    unit = ds.group.sum(ds.embed(slot(r, r), base.unit) for r in range(size))
+    return FinRing(ds.group, table, unit=unit, modulus=base.modulus)
+
+
 def test_matrix_ring_matches_block_mat_ring():
-    for n in (2, 3):
-        base = FinRing.zmod(n)
-        flat = FinRing.matrix_ring(base, 2)
-        blocky = mat_ring(2, base)
-        assert flat.additive == blocky.additive
-        assert flat.table == blocky._flat
-        assert find_unit(blocky.as_finring()) == flat.unit
+    for base in BASES:
+        for size in (1, 2, 3):
+            ref = _entrywise_matrix_ring(base, size)
+            flat = FinRing.matrix_ring(base, size)
+            blocky = mat_ring(size, base)
+            assert flat.additive == blocky.additive == ref.additive
+            assert flat.table == blocky._flat == ref.table
+            assert flat.unit == ref.unit == find_unit(blocky.as_finring())
+            assert flat.modulus == blocky.modulus == ref.modulus
 
 
 def test_mat_ring_block_products():
@@ -161,15 +197,22 @@ def test_associativity_walk_matches_brute_force(make):
     assert only_xy_vanishes > 0 and total > only_xy_vanishes
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
 @pytest.mark.parametrize("size", [2, 3, 4])
-def test_matrix_ring_passes_the_check_it_skips(size, n):
-    # matrix_ring builds the flat ring unchecked; run that check here
-    M = FinRing.matrix_ring(FinRing.zmod(n), size)
+def test_matrix_ring_passes_the_check_it_skips(size, base):
+    # matrix_ring, mat_ring and regroup build unchecked; run that check here
+    M = FinRing.matrix_ring(base, size)
     assert M.associativity_failures() == []
     assert M.unit is not None
     for g in M.additive.gens():
         assert M.mul(M.unit, g) == g and M.mul(g, M.unit) == g
+    R = mat_ring(size, base)
+    assert R.associativity_failures(limit=10 ** 9) == []
+    rng = random.Random(size)
+    for partition in ([[t] for t in range(size)], _random_partition(size, rng),
+                      _random_partition(size, rng)):
+        assert regroup(R, partition).associativity_failures() == []
+    assert collapse_rank(R).associativity_failures() == []
 
 
 def _reference_multiplicativity(f, limit):
@@ -491,3 +534,153 @@ def test_grouped_entry_refuses_a_bad_partition():
         grouped_entry(2, 2, [[0], [0, 1]])    # index 0 twice
     with pytest.raises(PreconditionFailed):
         grouped_entry(2, 2, [[0]])            # index 1 missing
+
+
+def test_regroup_names_the_bad_index():
+    R = mat_ring(3, FinRing.zmod(2))
+    with pytest.raises(PreconditionFailed, match="index 1 is in two parts"):
+        regroup(R, [[0, 1], [1, 2]])
+    with pytest.raises(PreconditionFailed, match="misses index 2"):
+        regroup(R, [[0], [1]])
+    with pytest.raises(PreconditionFailed, match="index 3 is out of range"):
+        regroup(R, [[0], [1, 2, 3]])
+
+
+def test_corpus_sources_have_their_unit():
+    entries = [e for e in standard_corpus() if e.source is not None]
+    assert len(entries) == 14
+    for e in entries:
+        S, G = e.source, e.source.additive
+        assert S.unit is not None, e.name
+        for g in G.gens():
+            assert S.mul(S.unit, g) == g == S.mul(g, S.unit), e.name
+        assert G.sum(e.idems) == S.unit, e.name
+
+
+def _random_partition(size, rng):
+    """range(size) cut into shuffled parts: parts come unsorted, out of
+    order and non-contiguous."""
+    order = list(range(size))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [size])]
+
+
+def _idempotent_path(size, base, partition):
+    """The entrywise matrix ring decomposed by peirce_from_idempotents along
+    the diagonal idempotents summed over each part."""
+    M = _entrywise_matrix_ring(base, size)
+    G = M.additive
+    idems = [G.sum(G.gen(t * size + t) for t in part) for part in partition]
+    return peirce_from_idempotents(M, idems)[0]
+
+
+def test_regroup_matches_the_idempotent_path():
+    rng = random.Random(11)
+    unsorted = split = 0
+    for size in (2, 3, 4, 5, 6):
+        for n in (2, 4, 6):
+            for _ in range(2):
+                partition = _random_partition(size, rng)
+                ring = grouped_entry(size, n, partition).ring
+                ref = _idempotent_path(size, FinRing.zmod(n), partition)
+                assert ring.rank == ref.rank == len(partition)
+                assert ring.blocks == ref.blocks, (size, n, partition)
+                assert ring.tables == ref.tables, (size, n, partition)
+                unsorted += any(p != sorted(p) for p in partition)
+                split += any(max(p) - min(p) >= len(p) for p in partition)
+    assert unsorted and split
+
+
+def _flat_labels(R, partition):
+    """For each flat coordinate of regroup(R, partition), the flat
+    coordinate of R it stands for: cells in row-major order of the sorted
+    parts, as `regroup` promises."""
+    parts = [sorted(p) for p in partition]
+    return [R.ds.offsets[R._slot[(i, j)]] + t
+            for pa in parts for pb in parts for i in pa for j in pb
+            for t in range(R.blocks[(i, j)].dim)]
+
+
+def _assert_relabels_to(S, R, labels):
+    """S is R with flat coordinate p renamed labels[p]."""
+    assert sorted(labels) == list(range(R.additive.dim))
+    assert tuple(R.additive.orders[c] for c in labels) == S.additive.orders
+
+    def move(v):
+        w = [0] * len(v)
+        for p, x in enumerate(v):
+            w[labels[p]] = x
+        return tuple(w)
+
+    assert {(labels[p], labels[q]): move(v)
+            for (p, q), v in S._flat.items()} == R._flat
+
+
+def _block_labels(S, labels):
+    """{block of S: the labels of its coordinates, in order}."""
+    return {ab: labels[S.ds.offsets[S._slot[ab]]:][:G.dim]
+            for ab, G in S.blocks.items()}
+
+
+def _in_flat_order(S, labels):
+    return all(v == sorted(v) for v in _block_labels(S, labels).values())
+
+
+REGROUP_RINGS = [
+    lambda: mat_ring(3, FinRing.zmod(4)),
+    lambda: mat_ring(2, BASES[3]),
+    lambda: grouped_entry(5, 2, [[0], [1], [2], [3, 4]]).ring,
+    lambda: morita_entry().ring,
+    lambda: zero_entry(4, 2).ring,
+    annihilated_mat4,
+]
+REGROUP_IDS = ["mat3_z4", "mat2_z2xz3", "grouped5", "morita", "zero4",
+               "mat4_annihilated"]
+
+
+@pytest.mark.parametrize("make", REGROUP_RINGS, ids=REGROUP_IDS)
+def test_regroup_by_one_index_parts_is_the_identity(make):
+    R = make()
+    S = regroup(R, [[i] for i in range(R.rank)])
+    assert (S.rank, S.modulus) == (R.rank, R.modulus)
+    assert S.blocks == R.blocks
+    assert S.tables == R.tables
+    assert S._flat == R._flat
+
+
+@pytest.mark.parametrize("make", REGROUP_RINGS, ids=REGROUP_IDS)
+def test_regrouping_twice_is_one_regroup(make):
+    R = make()
+    rng = random.Random(R.rank)
+    for _ in range(5):
+        first = _random_partition(R.rank, rng)
+        second = _random_partition(len(first), rng)
+        merged = [[i for a in part for i in first[a]] for part in second]
+        S1 = regroup(R, first)
+        twice = regroup(S1, second)
+        once = regroup(R, merged)
+        labels1 = _flat_labels(R, first)
+        twice_labels = [labels1[c] for c in _flat_labels(S1, second)]
+        once_labels = _flat_labels(R, merged)
+        for S, labels in ((S1, labels1), (twice, twice_labels),
+                          (once, once_labels)):
+            _assert_relabels_to(S, R, labels)
+        assert _in_flat_order(S1, labels1)
+        assert _in_flat_order(once, once_labels)
+        # the same grading: each block holds the same coordinates of R; only
+        # their order inside a block may differ
+        assert {ab: sorted(v) for ab, v in
+                _block_labels(twice, twice_labels).items()} == \
+            _block_labels(once, once_labels)
+
+
+@pytest.mark.parametrize("make", REGROUP_RINGS[3:], ids=REGROUP_IDS[3:])
+def test_collapse_rank_keeps_flat_and_block_order(make):
+    R = make()
+    S = collapse_rank(R)
+    assert S.rank == R.rank - 1
+    labels = _flat_labels(
+        R, [[i] for i in range(R.rank - 2)] + [[R.rank - 2, R.rank - 1]])
+    _assert_relabels_to(S, R, labels)
+    assert _in_flat_order(S, labels)
