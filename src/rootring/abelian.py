@@ -393,6 +393,33 @@ def quotient(G, H):
     return Quotient(group=Q, proj=proj, subgroup=H, _lift=lift)
 
 
+def _require_kills(f, H):
+    """Raise NotWellDefined with the first Hermite row of H that the AbHom
+    f does not send to zero."""
+    for row in H.lat.rows:
+        if any(f(row)):
+            raise NotWellDefined("map does not kill the relation subgroup",
+                                 witness=tuple(row))
+
+
+def induces_isomorphism(f, H):
+    """Whether the AbHom f: G -> X induces an isomorphism G/H -> X, decided
+    without presenting G/H: the induced map is onto iff f is, and
+    bijective iff it is onto and |G| / |H| = |X|.  Raises NotWellDefined,
+    as `induced_map` does, unless f kills H.
+
+    >>> G = FinAbGroup([4, 2])
+    >>> f = AbHom(G, FinAbGroup([2]), [(1,), (1,)])
+    >>> induces_isomorphism(f, Subgroup(G, [(2, 0), (1, 1)]))
+    True
+    >>> induces_isomorphism(f, Subgroup(G, [(2, 0)]))
+    False
+    """
+    _require_kills(f, H)
+    return f.source.order // H.order() == f.target.order and \
+        f.is_surjective()
+
+
 def induced_map(f, quot):
     """Factor the AbHom f through quot.proj.
 
@@ -401,10 +428,7 @@ def induced_map(f, quot):
     """
     if quot.proj.source != f.source:
         raise ValueError("quotient of a different group")
-    for row in quot.subgroup.lat.rows:
-        if any(f(row)):
-            raise NotWellDefined("map does not kill the relation subgroup",
-                                 witness=tuple(row))
+    _require_kills(f, quot.subgroup)
     cols = []
     for i in range(quot.group.dim):
         q = tuple(1 if j == i else 0 for j in range(quot.group.dim))

@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import __version__
 from .commrel import (_firm_rel, _reduced_rel, check_K_linear,
@@ -665,7 +665,9 @@ def _seed_corpus(directory):
 
 # -- argument wiring ----------------------------------------------------------------
 
+@cache
 def _parser():
+    # built on the first `main` and reused: parsing leaves it unchanged.
     # report flags are accepted before and after the verb; the copies on
     # the subparsers suppress their defaults so they never overwrite a
     # value the main parser already set

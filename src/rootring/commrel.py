@@ -206,8 +206,17 @@ def check_firm_rel(D):
 
 
 def _firm_rel(D):
-    """check_firm_rel(D) for data already known to be idempotent."""
+    """check_firm_rel(D) for data already known to be idempotent.
+
+    (i, j, k, l) and (i, k, j, l) give the same kernel and image with the
+    two summands swapped, so one passes iff the other does, and only the
+    quadruples with j < k are visited.  Of each such pair the one with
+    j < k comes first in lexicographic order, so the witness is the first
+    failure of the full walk over all ordered quadruples.
+    """
     for i, j, k, l in permutations(range(D.rank), 4):
+        if j > k:
+            continue
         kernel, image, _ = _firm_quadruple(D, i, j, k, l)
         if kernel != image:
             culprit = next((row for row in kernel.basis()

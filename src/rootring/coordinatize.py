@@ -16,11 +16,11 @@ an exact computation with finite abelian groups.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
-                      induced_map, quotient)
+                      induced_map, induces_isomorphism, quotient)
 from .commrel import (_firm_rel, _reduced_rel, check_idempotent_rel,
                       check_K_linear)
 from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
@@ -110,12 +110,12 @@ def _pair_quotient_bijective(pres, i, j):
     """Whether the two-summand quotient already presents the whole diagonal
     block: ((T_i + T_j) / (relations between i and j)) -> R_ss must be an
     isomorphism.  The construction of the diagonal multiplications depends
-    on this, so it is verified rather than trusted."""
+    on this, so it is verified rather than trusted, by the order test of
+    `induces_isomorphism`: the two-summand quotient is never presented."""
     Ti, Tj = pres.tensors[i], pres.tensors[j]
     amb2 = DirectSum([Ti.group, Tj.group])
     gens2 = (relation_rows(amb2, pres.pairs[(i, j)], 0, 1)
              + relation_rows(amb2, pres.pairs[(j, i)], 1, 0))
-    q2 = quotient(amb2.group, Subgroup(amb2.group, gens2))
     cols = []
     for t, part in ((0, Ti), (1, Tj)):
         at = pres.pos(i if t == 0 else j)
@@ -123,7 +123,7 @@ def _pair_quotient_bijective(pres, i, j):
             e = part.group.gen(loc)
             cols.append(pres.quot.proj(pres.ambient.embed(at, e)))
     f = AbHom(amb2.group, pres.quot.group, cols)
-    return induced_map(f, q2).is_isomorphism()
+    return induces_isomorphism(f, Subgroup(amb2.group, gens2))
 
 
 def _supported_preimages(pres, kept):
@@ -750,6 +750,14 @@ def _pattern_name(quad):
     return "".join(out)
 
 
+@cache
+def _quad_patterns(rank):
+    """{quad: _pattern_name(quad)} for every quadruple of indices below
+    rank, in lexicographic order; named once per rank."""
+    return {quad: _pattern_name(quad)
+            for quad in product(range(rank), repeat=4)}
+
+
 @dataclass(frozen=True)
 class PatternReport:
     """Associativity on generator triples, bucketed by index pattern.
@@ -796,12 +804,12 @@ def verify_associativity_patterns(R, failure_limit=3):
                 for name in HYPOTHESIS_PATTERNS}
     for name in DERIVED_PATTERNS:
         patterns[name] = {"kind": "derived", "checked": 0, "failures": []}
-    quads = list(product(range(R.rank), repeat=4))
-    for i, j, k, l in quads:
-        patterns[_pattern_name((i, j, k, l))]["checked"] += (
+    names = _quad_patterns(R.rank)
+    for (i, j, k, l), name in names.items():
+        patterns[name]["checked"] += (
             R.blocks[(i, j)].dim * R.blocks[(j, k)].dim * R.blocks[(k, l)].dim)
-    for quad, abc in nonassociative_triples(quads, R.block, R.block_mul):
-        failures = patterns[_pattern_name(quad)]["failures"]
+    for quad, abc in nonassociative_triples(names, R.block, R.block_mul):
+        failures = patterns[names[quad]]["failures"]
         if len(failures) < failure_limit:
             failures.append((quad, abc))
     return PatternReport(patterns=patterns)

@@ -17,19 +17,21 @@ group of its input and only merges block indices.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, islice, product
 from math import gcd, lcm
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
-                      induced_map, quotient)
+                      induced_map, induces_isomorphism, quotient)
 from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
                      ModuleNotFirm, NotIdempotent, NotIdempotentFamily,
                      PairingNotSurjective, PreconditionFailed, RankTooSmall)
 
 # The largest rank accepted from a file header or a build command.  The
 # checks on a block ring cost about rank^4: on mat_ring(16, Z/2) `check`
-# takes 2 s and a firm roundtrip 12 s, and on a rank-60 file with empty
-# blocks `check` takes 16 s.  `build grouped` merges the blocks of
+# takes 1.1-1.2 s, a firm roundtrip 6-7 s and a reduced one 2.4-3.4 s as a
+# cold process (two-core Xeon, Python 3.11), and on a rank-60 file with
+# empty blocks `check` takes 16 s.  `build grouped` merges the blocks of
 # mat_ring(size, Z/n) through `regroup`, so it costs what the size^2 blocks
 # cost: with one-index parts 0.5-0.6 s at size 12 and 1.2-1.6 s at size 16.
 MAX_RANK = 16
@@ -82,6 +84,16 @@ class Table(dict):
             self[(a, b)] = v
             rows.setdefault(a, []).append((b, v))
         self.rows = rows
+
+    @classmethod
+    def from_checked(cls, entries):
+        """The Table of ((a, b), v) entries, in their order, that are
+        already reduced, nonzero and order-checked: nothing is re-checked."""
+        out = cls({}, None, None, None)
+        for (a, b), v in entries:
+            out[(a, b)] = v
+            out.rows.setdefault(a, []).append((b, v))
+        return out
 
 
 # every missing table: the zero product (an empty table needs no groups)
@@ -291,7 +303,7 @@ class PeirceRing:
     """
 
     __slots__ = ("rank", "modulus", "blocks", "tables", "ds", "_slot",
-                 "_flat")
+                 "_flat_table")
 
     def __init__(self, rank, modulus, blocks, tables, check=True):
         if rank < 1:
@@ -323,23 +335,31 @@ class PeirceRing:
                           what="table (%d,%d,%d)" % (i, j, k))
             if clean:
                 self.tables[(i, j, k)] = clean
-        self._flat = self._flatten()
+        self._flat_table = None
         if check:
             bad = self.associativity_failures()
             if bad:
                 raise ValueError("block multiplication is not associative, "
                                  "e.g. at %r" % (bad[0],))
 
-    def _flatten(self):
-        flat = {}
+    @property
+    def _flat(self):
+        """The table on total coordinates, built on first use from the
+        entries of the block tables, placed at the blocks' offsets.  The
+        block tables reduced and order-checked them already."""
+        if self._flat_table is None:
+            self._flat_table = Table.from_checked(self._flat_entries())
+        return self._flat_table
+
+    def _flat_entries(self):
+        offsets, dim = self.ds.offsets, self.ds.group.dim
         for (i, j, k), tab in self.tables.items():
-            off1 = self.ds.offsets[self._slot[(i, j)]]
-            off2 = self.ds.offsets[self._slot[(j, k)]]
-            tgt = self._slot[(i, k)]
+            off1 = offsets[self._slot[(i, j)]]
+            off2 = offsets[self._slot[(j, k)]]
+            at = offsets[self._slot[(i, k)]]
+            pad = (0,) * at, (0,) * (dim - at - self.blocks[(i, k)].dim)
             for (a, b), v in tab.items():
-                flat[(off1 + a, off2 + b)] = self.ds.embed(tgt, v)
-        G = self.ds.group
-        return Table(flat, G, G, G)
+                yield (off1 + a, off2 + b), pad[0] + v + pad[1]
 
     # -- total-ring view ----------------------------------------------------
 
@@ -652,24 +672,26 @@ def is_idempotent(R):
     return True, None
 
 
-def firm_pairing_hom(R, i, j, k):
-    """The multiplication map R_ij tensor_{R_jj} R_jk -> R_ik, as an AbHom
-    from the balanced tensor, plus the tensor itself."""
-    t = RelTensor(_block_right_module(R, i, j), _block_left_module(R, j, k))
-    h = t.induced_hom(R.blocks[(i, k)],
-                      lambda x, y: R.block_mul(i, j, k, x, y))
-    return t, h
-
-
 def is_firm(R):
-    """All balanced pairing maps are isomorphisms; returns (ok, witness)."""
+    """All balanced pairing maps R_ij (x)_{R_jj} R_jk -> R_ik are
+    isomorphisms; returns (ok, witness), the first failing (i, j, k).
+
+    The balanced tensor is T / rel, T = R_ij (x) R_jk and rel spanned by the
+    associator relations through R_jj, the generators `RelTensor` uses.
+    The product T -> R_ik must kill rel (NotWellDefined otherwise, as from
+    `RelTensor.induced_hom`), and the pairing map is then an isomorphism iff
+    the product is onto and |T| / |rel| = |R_ik|: no quotient is presented.
+    """
     l = R.rank
-    for i in range(l):
-        for j in range(l):
-            for k in range(l):
-                _t, h = firm_pairing_hom(R, i, j, k)
-                if not h.is_isomorphism():
-                    return False, (i, j, k)
+    for i, j, k in product(range(l), repeat=3):
+        T = TensorGroup(R.blocks[(i, j)], R.blocks[(j, k)])
+        f = T.hom(R.blocks[(i, k)], partial(R.block_mul, i, j, k))
+        pairs = associator_pairs(T, T, R.blocks[(j, j)],
+                                 partial(R.block_mul, i, j, j),
+                                 partial(R.block_mul, j, j, k))
+        rel = Subgroup(T.group, [T.group.sub(a, b) for a, b in pairs])
+        if not induces_isomorphism(f, rel):
+            return False, (i, j, k)
     return True, None
 
 

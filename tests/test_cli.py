@@ -238,10 +238,13 @@ def _count_calls(monkeypatch, owner, names):
     return counts
 
 
-@pytest.mark.parametrize("mode, visit", [("firm", "_firm_quadruple"),
-                                         ("reduced", "_inert_kernel")])
+@pytest.mark.parametrize("mode, visit, visits",
+                         [("firm", "_firm_quadruple", 12),
+                          ("reduced", "_inert_kernel", 24)],
+                         ids=["firm-_firm_quadruple",
+                              "reduced-_inert_kernel"])
 def test_roundtrip_checks_each_fact_once(tmp_path, monkeypatch, capsys,
-                                         mode, visit):
+                                         mode, visit, visits):
     p = _write(tmp_path, "m.ring", mat_ring(4, FinRing.zmod(2)))
     counts = _count_calls(monkeypatch, commrel,
                           ("check_K_linear", "check_idempotent_rel",
@@ -250,11 +253,12 @@ def test_roundtrip_checks_each_fact_once(tmp_path, monkeypatch, capsys,
                          ("associativity_failures",))
     assert main(["--no-timestamp", "roundtrip", p, "--mode", mode]) == 0
     assert "isomorphic: true" in capsys.readouterr().out
-    # one run of the mode predicate visits each of its 24 index sets once:
-    # the ordered distinct quadruples (firm), or the six roots of each of
-    # the four index triples (reduced)
+    # one run of the mode predicate visits each of its index sets once:
+    # the 4*3*2/2 ordered distinct quadruples (i, j, k, l) with j < k, since
+    # (i, k, j, l) is the same fact (firm), or the six roots of each of the
+    # four index triples (reduced)
     assert counts == {"check_K_linear": 1, "check_idempotent_rel": 1,
-                      "extract": 1, visit: 24}
+                      "extract": 1, visit: visits}
     assert walks == {"associativity_failures": 1}
 
 
@@ -394,3 +398,32 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check firm: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--json", "--no-timestamp", "check", "RING"],
+     ["--no-timestamp", "check", "RING"]),
+    (["--no-timestamp", "check", "RING", "--json"],
+     ["--no-timestamp", "check", "RING"]),
+    (["--no-timestamp", "roundtrip", "RING", "--mode", "firm"],
+     ["--no-timestamp", "roundtrip", "RING", "--mode", "reduced"]),
+], ids=["json-then-plain", "json-after-verb-then-plain", "firm-then-reduced"])
+def test_successive_mains_share_nothing_but_the_parser(tmp_path, capsys,
+                                                       first, second):
+    p = _write(tmp_path, "m.ring", mat_ring(4, FinRing.zmod(2)))
+    first = [p if a == "RING" else a for a in first]
+    second = [p if a == "RING" else a for a in second]
+    cli._parser.cache_clear()
+    assert main(second) == 0
+    alone = capsys.readouterr().out
+    parser = cli._parser()
+    cli._parser.cache_clear()
+    assert main(first) == 0
+    capsys.readouterr()
+    assert main(second) == 0
+    assert capsys.readouterr().out == alone
+    assert cli._parser() is cli._parser() is not parser
+    if "--mode" in second:
+        assert "reduced" in alone and "coordinatize-firm" not in alone
+    else:
+        assert not alone.lstrip().startswith("{")

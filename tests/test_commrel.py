@@ -1,7 +1,9 @@
+from itertools import permutations
+
 import pytest
 
-from rootring.abelian import FinAbGroup
-from rootring.commrel import (CommRelData, Root, _firm_quadruple,
+from rootring.abelian import FinAbGroup, Subgroup
+from rootring.commrel import (CommRelData, Root, _firm_quadruple, _firm_rel,
                               _inert_kernel, all_roots, check_K_linear,
                               check_firm_rel, check_idempotent_rel,
                               check_reduced_rel, extract)
@@ -115,6 +117,51 @@ def test_firm_quadruple_detects_zeroed_module():
     kernel, image, _ = _firm_quadruple(D, 0, 2, 3, 1)
     assert kernel != image
     assert kernel.is_trivial() and not image.is_trivial()
+
+
+def _rank4_data():
+    """The rank-4 corpus data, and mat_ring(4, Z/2) data with one module
+    zeroed for each of three roots."""
+    out = [extract(e.ring) for e in standard_corpus() if e.ring.rank == 4]
+    clean = extract(mat_ring(4, FinRing.zmod(2)))
+    return out + [_without_module(clean, dead)
+                  for dead in ((2, 1), (0, 3), (1, 0))]
+
+
+def _swapped(sub, split, ambient):
+    """`sub` of A + B moved into `ambient` = B + A, A of dimension split."""
+    return Subgroup(ambient, [v[split:] + v[:split] for v in sub.basis()])
+
+
+def test_firm_quadruple_is_symmetric_in_the_middle_pair():
+    for D in _rank4_data():
+        for i, j, k, l in permutations(range(4), 4):
+            kernel, image, amb = _firm_quadruple(D, i, j, k, l)
+            kernel2, image2, amb2 = _firm_quadruple(D, i, k, j, l)
+            split = amb.parts[0].dim
+            assert amb2.parts == amb.parts[::-1]
+            assert kernel2 == _swapped(kernel, split, amb2.group)
+            assert image2 == _swapped(image, split, amb2.group)
+
+
+def _firm_rel_over_all_quadruples(D):
+    """_firm_rel written out over every ordered quadruple."""
+    for quad in permutations(range(D.rank), 4):
+        kernel, image, _ = _firm_quadruple(D, *quad)
+        for a, b in ((kernel, image), (image, kernel)):
+            culprit = next((v for v in a.basis() if not b.contains(v)), None)
+            if culprit is not None:
+                return False, (quad, culprit)
+    return True, None
+
+
+def test_firm_rel_witness_matches_the_full_walk():
+    verdicts = []
+    for D in _rank4_data():
+        got = _firm_rel(D)
+        assert got == _firm_rel_over_all_quadruples(D)
+        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
 
 
 def test_reduced_rel_matrix_rings():

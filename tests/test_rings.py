@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from oracles import balanced_tensor_oracle
 from test_corpus_digests import annihilated_mat4
 from rootring.abelian import AbHom, DirectSum, FinAbGroup
-from rootring.corpus import (grouped_entry, morita_entry, standard_corpus,
-                             zero_entry)
+from rootring.corpus import (corrupted_matrix, grouped_entry, morita_entry,
+                             standard_corpus, zero_entry)
 from rootring.errors import (InternalAlarm, NotIdempotent,
-                             NotIdempotentFamily, PreconditionFailed)
+                             NotIdempotentFamily, NotWellDefined,
+                             PreconditionFailed)
 from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
                             RelTensor, RightModule, Table, bilinear_apply,
                             check_predicates, collapse_rank, find_unit,
@@ -20,7 +21,8 @@ from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
                             morita_ring, nonassociative_triples,
                             peirce_from_idempotents, reduced_quotient,
                             regroup, two_sided_annihilator, universal_ring)
-from rootring.rings import _annihilator_blocks, _is_reduced_given
+from rootring.rings import (_annihilator_blocks, _block_left_module,
+                            _block_right_module, _is_reduced_given)
 
 
 def test_zmod():
@@ -87,6 +89,26 @@ def test_matrix_ring_matches_block_mat_ring():
             assert flat.table == blocky._flat == ref.table
             assert flat.unit == ref.unit == find_unit(blocky.as_finring())
             assert flat.modulus == blocky.modulus == ref.modulus
+
+
+@pytest.mark.parametrize("make", [
+    lambda: morita_entry().ring,
+    lambda: grouped_entry(5, 4, [[4, 1], [0], [2, 3]]).ring,
+    lambda: annihilated_mat4(),
+], ids=["morita", "grouped5_z4", "annihilated4"])
+def test_flat_table_is_the_checked_table_of_its_blocks(make):
+    # the flat table is built on first use, with the entries, order and
+    # row index that reducing and checking the embedded entries gives
+    R = make()
+    assert R._flat_table is None
+    G, offset = R.additive, R.ds.offsets
+    ref = Table({(offset[R._slot[(i, j)]] + a, offset[R._slot[(j, k)]] + b):
+                 R.embed(i, k, v)
+                 for (i, j, k), tab in R.tables.items()
+                 for (a, b), v in tab.items()}, G, G, G)
+    assert R._flat == ref and R._flat.rows == ref.rows
+    assert list(R._flat) == list(ref)
+    assert R._flat is R._flat
 
 
 def test_mat_ring_block_products():
@@ -332,6 +354,63 @@ def test_predicates_on_zero_ring():
     assert rep.idempotent and rep.firm and rep.reduced
 
 
+def _firm_by_balanced_tensor(R):
+    """is_firm written out as the balanced tensor presents it: per triple,
+    the quotient by the middle relations, the induced pairing map and its
+    isomorphism test."""
+    for i, j, k in product(range(R.rank), repeat=3):
+        t = RelTensor(_block_right_module(R, i, j),
+                      _block_left_module(R, j, k))
+        h = t.induced_hom(R.blocks[(i, k)],
+                          lambda x, y: R.block_mul(i, j, k, x, y))
+        if not h.is_isomorphism():
+            return False, (i, j, k)
+    return True, None
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or the type, text and witness it raises."""
+    try:
+        return fn(*args)
+    except NotWellDefined as e:
+        return type(e), str(e), e.witness
+
+
+def _with_bumped_entry(ring, key):
+    """`ring` with the (0, 0) entry of table `key` increased by one."""
+    tables = dict(ring.tables)
+    tab = dict(tables[key])
+    G = ring.blocks[(key[0], key[2])]
+    tab[(0, 0)] = G.add(tab.get((0, 0), G.zero), G.gen(0))
+    tables[key] = tab
+    return PeirceRing(ring.rank, ring.modulus, dict(ring.blocks), tables,
+                      check=False)
+
+
+def _firm_cases():
+    rings = [e.ring for e in standard_corpus()]
+    rings += [zero_entry(4, 2).ring, corrupted_matrix(4, 2),
+              corrupted_matrix(4, 3)]
+    for n in (2, 3):
+        clean = mat_ring(4, FinRing.zmod(n))
+        rings += [_with_bumped_entry(clean, key)
+                  for key in ((0, 1, 1), (1, 1, 2), (0, 0, 1))]
+    return rings
+
+
+def test_is_firm_matches_the_balanced_tensor():
+    seen = []
+    for R in _firm_cases():
+        got = _outcome(is_firm, R)
+        assert got == _outcome(_firm_by_balanced_tensor, R), R
+        seen.append(got[0])
+    # the order test meets passes, failures and products that are not
+    # well defined on the balanced tensor; over Z/2 the bumped (0, 0, 1)
+    # entry is 0, so that ring is not firm at (0, 0, 1) instead
+    assert True in seen and False in seen
+    assert seen[-6:] == [NotWellDefined] * 2 + [False] + [NotWellDefined] * 3
+
+
 def test_annihilator():
     G = FinAbGroup([2, 2])
     zero_mult = FinRing(G, {})
@@ -439,7 +518,6 @@ def test_tensor_over_ring_examples():
 def test_tensor_over_ring_matches_element_oracle():
     R = mat_ring(2, FinRing.zmod(4))
     i, j, k = 0, 1, 0
-    from rootring.rings import _block_left_module, _block_right_module
     M = _block_right_module(R, i, j)
     N = _block_left_module(R, j, k)
     t = RelTensor(M, N)
