@@ -59,10 +59,6 @@ class QuasiUnit:
     def inverse(self):
         return QuasiUnit(self.ring, self.inv, inv=self.value)
 
-    def conjugate(self, other):
-        """self o other o self^{-1}."""
-        return self.circle(other).circle(self.inverse())
-
     def commutator(self, other):
         """self o other o self^{-1} o other^{-1}."""
         return self.circle(other).circle(self.inverse()) \
@@ -164,87 +160,113 @@ def verify_steinberg(R, identity_triples="generators", limit=8):
           ^y[x,[y^-1,z]] o ^z[y,[z^-1,x]] o ^x[z,[x^-1,y]] == 0
         on triples of transvection letters (generator letters by default,
         every nonzero letter with identity_triples="all").
+
+    Quasi-units are carried as (value, quasi-inverse) pairs: an inverse is
+    a swap, and the inverse of x o y is the product y^-1 o x^-1.  Each
+    product of two values is computed once per call and kept in a dict
+    that lives only for the call.  `checked` and the failures are those of
+    the full enumeration, in its order: every relation is still evaluated,
+    and only a repeated product is looked up instead of recomputed.
     """
+    if identity_triples not in ("generators", "all"):
+        raise ValueError('identity_triples must be "generators" or "all", '
+                         'got %r' % (identity_triples,))
     rep = SteinbergReport()
     l = R.rank
+    products = {}
+
+    def times(x, y):
+        key = (x, y)
+        v = products.get(key)
+        if v is None:
+            v = products[key] = circ(R, x, y)
+        return v
+
+    def circle(p, q):
+        return times(p[0], q[0]), times(q[1], p[1])
+
+    def inverse(p):
+        return p[1], p[0]
+
+    def conjugate(p, q):
+        """p o q o p^-1."""
+        return circle(circle(p, q), inverse(p))
+
+    def commutator(p, q):
+        """p o q o p^-1 o q^-1."""
+        return circle(conjugate(p, q), inverse(q))
+
+    def unit(i, j, a):
+        t = transvection(R, i, j, a)
+        return t.value, t.inv
 
     blocks = [(i, j) for i in range(l) for j in range(l) if i != j]
+    trans = {(i, j): {a: unit(i, j, a) for a in R.blocks[(i, j)].elements()}
+             for (i, j) in blocks}
     for (i, j) in blocks:
         G = R.blocks[(i, j)]
-        elems = list(G.elements())
-        for a in elems:
-            ta = transvection(R, i, j, a)
-            for b in elems:
-                got = ta.circle(transvection(R, i, j, b))
-                want = transvection(R, i, j, G.add(a, b))
+        tij = trans[(i, j)]
+        for a, ta in tij.items():
+            for b, tb in tij.items():
+                got = circle(ta, tb)
+                want = tij[G.add(a, b)]
                 rep.checked += 1
-                if got != want and len(rep.additivity_failures) < limit:
+                if got[0] != want[0] and len(rep.additivity_failures) < limit:
                     rep.additivity_failures.append(((i, j), a, b))
 
     for (i, j) in blocks:
-        Gij = R.blocks[(i, j)]
         for (k, m) in blocks:
             if j == k or i == m:
                 continue
-            Gkm = R.blocks[(k, m)]
-            for a in Gij.elements():
+            for a, ta in trans[(i, j)].items():
                 if not any(a):
                     continue
-                ta = transvection(R, i, j, a)
-                for b in Gkm.elements():
+                for b, tb in trans[(k, m)].items():
                     if not any(b):
                         continue
-                    c = ta.commutator(transvection(R, k, m, b))
+                    c = commutator(ta, tb)
                     rep.checked += 1
-                    if not c.is_identity() and \
-                            len(rep.commuting_failures) < limit:
+                    if any(c[0]) and len(rep.commuting_failures) < limit:
                         rep.commuting_failures.append(((i, j), a, (k, m), b))
 
     for (i, j) in blocks:
-        Gij = R.blocks[(i, j)]
         for k in range(l):
             if k == j or k == i:
                 continue
-            Gjk = R.blocks[(j, k)]
-            for a in Gij.elements():
-                ta = transvection(R, i, j, a)
-                for b in Gjk.elements():
-                    got = ta.commutator(transvection(R, j, k, b))
-                    want = transvection(R, i, k,
-                                        R.block_mul(i, j, k, a, b))
+            tik = trans[(i, k)]
+            for a, ta in trans[(i, j)].items():
+                for b, tb in trans[(j, k)].items():
+                    got = commutator(ta, tb)
+                    want = tik[R.block_mul(i, j, k, a, b)]
                     rep.checked += 1
-                    if got != want and \
+                    if got[0] != want[0] and \
                             len(rep.composition_failures) < limit:
                         rep.composition_failures.append(((i, j), a, (j, k), b))
 
-    letters = [transvection(R, i, j, a)
+    letters = [trans[(i, j)][a]
                for (i, j, a) in _transvection_letters(R, identity_triples)]
     for x in letters:
         for y in letters:
-            xy = x.circle(y)
+            xy = circle(x, y)
             for z in letters:
                 rep.checked += 1
-                if xy.circle(z) != x.circle(y.circle(z)) and \
+                if circle(xy, z)[0] != circle(x, circle(y, z))[0] and \
                         len(rep.identity_failures) < limit:
-                    rep.identity_failures.append(("assoc", x.value, y.value,
-                                                  z.value))
-                lhs = xy.commutator(z)
-                rhs = x.conjugate(y.commutator(z)).circle(x.commutator(z))
-                if lhs != rhs and len(rep.identity_failures) < limit:
-                    rep.identity_failures.append(("L", x.value, y.value,
-                                                  z.value))
-                lhs = x.commutator(y.circle(z))
-                rhs = x.commutator(y).circle(y.conjugate(x.commutator(z)))
-                if lhs != rhs and len(rep.identity_failures) < limit:
-                    rep.identity_failures.append(("R", x.value, y.value,
-                                                  z.value))
-                t1 = y.conjugate(x.commutator(y.inverse().commutator(z)))
-                t2 = z.conjugate(y.commutator(z.inverse().commutator(x)))
-                t3 = x.conjugate(z.commutator(x.inverse().commutator(y)))
-                if not t1.circle(t2).circle(t3).is_identity() and \
+                    rep.identity_failures.append(("assoc", x[0], y[0], z[0]))
+                lhs = commutator(xy, z)
+                rhs = circle(conjugate(x, commutator(y, z)), commutator(x, z))
+                if lhs[0] != rhs[0] and len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("L", x[0], y[0], z[0]))
+                lhs = commutator(x, circle(y, z))
+                rhs = circle(commutator(x, y), conjugate(y, commutator(x, z)))
+                if lhs[0] != rhs[0] and len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("R", x[0], y[0], z[0]))
+                t1 = conjugate(y, commutator(x, commutator(inverse(y), z)))
+                t2 = conjugate(z, commutator(y, commutator(inverse(z), x)))
+                t3 = conjugate(x, commutator(z, commutator(inverse(x), y)))
+                if any(circle(circle(t1, t2), t3)[0]) and \
                         len(rep.identity_failures) < limit:
-                    rep.identity_failures.append(("HW", x.value, y.value,
-                                                  z.value))
+                    rep.identity_failures.append(("HW", x[0], y[0], z[0]))
     return rep
 
 
@@ -348,7 +370,8 @@ def perfectness_and_center(R, check_action=True):
     for u in units:
         if u.is_identity():
             continue
-        if all(u.circle(g) == g.circle(u) for g in gens):
+        if all(circ(R, u.value, g.value) == circ(R, g.value, u.value)
+               for g in gens):
             central.append(u.value)
 
     action_injective = None

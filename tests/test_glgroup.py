@@ -1,12 +1,14 @@
 import pytest
 
 from rootring.abelian import FinAbGroup
+from rootring.corpus import corrupted_matrix, morita_entry
 from rootring.errors import (BlockMismatch, BoundExceeded, IndexClash,
                              NotIdempotent, NotQuasiInvertible, RankTooSmall)
-from rootring.glgroup import (QuasiUnit, circ, elementary_subgroup,
-                              eval_st_word, identity_unit,
-                              perfectness_and_center, quasi_inverse,
-                              transvection, verify_steinberg)
+from rootring.glgroup import (QuasiUnit, SteinbergReport,
+                              _transvection_letters, circ,
+                              elementary_subgroup, eval_st_word,
+                              identity_unit, perfectness_and_center,
+                              quasi_inverse, transvection, verify_steinberg)
 from rootring.rings import FinRing, PeirceRing, mat_ring
 
 from oracles import quasi_inverse_oracle
@@ -137,17 +139,157 @@ def test_verify_steinberg_all_letters():
     assert rep.ok
 
 
-def test_verify_steinberg_flags_corrupted_table():
+def _zeroed_entry_ring():
     clean = mat_ring(3, FinRing.zmod(2))
     tables = dict(clean.tables)
     bad = dict(tables[(0, 1, 2)])
     bad[(0, 0)] = (0,)
     tables[(0, 1, 2)] = bad
-    R = PeirceRing(3, 2, dict(clean.blocks), tables, check=False)
+    return PeirceRing(3, 2, dict(clean.blocks), tables, check=False)
+
+
+def test_verify_steinberg_flags_corrupted_table():
+    R = _zeroed_entry_ring()
     assert R.associativity_failures(limit=1)
     rep = verify_steinberg(R)
     assert not rep.ok
     assert rep.identity_failures
+
+
+def _conjugate(x, y):
+    return x.circle(y).circle(x.inverse())
+
+
+def _steinberg_on_quasi_units(R, identity_triples="generators", limit=8):
+    """verify_steinberg as it was before its products were memoized: every
+    transvection and every product a fresh QuasiUnit, no value reused."""
+    rep = SteinbergReport()
+    l = R.rank
+
+    blocks = [(i, j) for i in range(l) for j in range(l) if i != j]
+    for (i, j) in blocks:
+        G = R.blocks[(i, j)]
+        elems = list(G.elements())
+        for a in elems:
+            ta = transvection(R, i, j, a)
+            for b in elems:
+                got = ta.circle(transvection(R, i, j, b))
+                want = transvection(R, i, j, G.add(a, b))
+                rep.checked += 1
+                if got != want and len(rep.additivity_failures) < limit:
+                    rep.additivity_failures.append(((i, j), a, b))
+
+    for (i, j) in blocks:
+        Gij = R.blocks[(i, j)]
+        for (k, m) in blocks:
+            if j == k or i == m:
+                continue
+            Gkm = R.blocks[(k, m)]
+            for a in Gij.elements():
+                if not any(a):
+                    continue
+                ta = transvection(R, i, j, a)
+                for b in Gkm.elements():
+                    if not any(b):
+                        continue
+                    c = ta.commutator(transvection(R, k, m, b))
+                    rep.checked += 1
+                    if not c.is_identity() and \
+                            len(rep.commuting_failures) < limit:
+                        rep.commuting_failures.append(((i, j), a, (k, m), b))
+
+    for (i, j) in blocks:
+        Gij = R.blocks[(i, j)]
+        for k in range(l):
+            if k == j or k == i:
+                continue
+            Gjk = R.blocks[(j, k)]
+            for a in Gij.elements():
+                ta = transvection(R, i, j, a)
+                for b in Gjk.elements():
+                    got = ta.commutator(transvection(R, j, k, b))
+                    want = transvection(R, i, k,
+                                        R.block_mul(i, j, k, a, b))
+                    rep.checked += 1
+                    if got != want and \
+                            len(rep.composition_failures) < limit:
+                        rep.composition_failures.append(((i, j), a, (j, k), b))
+
+    letters = [transvection(R, i, j, a)
+               for (i, j, a) in _transvection_letters(R, identity_triples)]
+    for x in letters:
+        for y in letters:
+            xy = x.circle(y)
+            for z in letters:
+                rep.checked += 1
+                if xy.circle(z) != x.circle(y.circle(z)) and \
+                        len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("assoc", x.value, y.value,
+                                                  z.value))
+                lhs = xy.commutator(z)
+                rhs = _conjugate(x, y.commutator(z)).circle(x.commutator(z))
+                if lhs != rhs and len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("L", x.value, y.value,
+                                                  z.value))
+                lhs = x.commutator(y.circle(z))
+                rhs = x.commutator(y).circle(_conjugate(y, x.commutator(z)))
+                if lhs != rhs and len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("R", x.value, y.value,
+                                                  z.value))
+                t1 = _conjugate(y, x.commutator(y.inverse().commutator(z)))
+                t2 = _conjugate(z, y.commutator(z.inverse().commutator(x)))
+                t3 = _conjugate(x, z.commutator(x.inverse().commutator(y)))
+                if not t1.circle(t2).circle(t3).is_identity() and \
+                        len(rep.identity_failures) < limit:
+                    rep.identity_failures.append(("HW", x.value, y.value,
+                                                  z.value))
+    return rep
+
+
+_STEINBERG_RINGS = {
+    "mat2 z2": lambda: mat_ring(2, FinRing.zmod(2)),
+    "mat2 z3": lambda: mat_ring(2, FinRing.zmod(3)),
+    "mat2 z4": lambda: mat_ring(2, FinRing.zmod(4)),
+    "mat3 z2": lambda: mat_ring(3, FinRing.zmod(2)),
+    "morita": lambda: morita_entry().ring,
+    "corrupted3 z2": lambda: corrupted_matrix(3, 2),
+    "zeroed entry": _zeroed_entry_ring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEINBERG_RINGS))
+def test_verify_steinberg_matches_the_quasi_unit_loop(name):
+    R = _STEINBERG_RINGS[name]()
+    rep = verify_steinberg(R)
+    assert rep == _steinberg_on_quasi_units(R)
+    if name in ("mat2 z2", "mat3 z2"):
+        assert verify_steinberg(R, identity_triples="all") == \
+            _steinberg_on_quasi_units(R, identity_triples="all")
+    if not rep.ok:
+        assert verify_steinberg(R, limit=1) == \
+            _steinberg_on_quasi_units(R, limit=1)
+
+
+def test_verify_steinberg_keeps_nothing_between_calls(monkeypatch):
+    R = mat_ring(2, FinRing.zmod(3))
+    calls = []
+    mul = PeirceRing.mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+    monkeypatch.setattr(PeirceRing, "mul", counted)
+    first = verify_steinberg(R)
+    n = len(calls)
+    second = verify_steinberg(R)
+    assert n > 0
+    assert len(calls) == 2 * n
+    assert first == second
+
+
+def test_verify_steinberg_refuses_an_unknown_letter_set():
+    with pytest.raises(ValueError, match='"generators" or "all"'):
+        verify_steinberg(mat_ring(2, FinRing.zmod(2)), identity_triples="gens")
 
 
 def test_perfectness_and_center_mat3():
