@@ -2,12 +2,13 @@
 
 For each of the `--seed-corpus` rings and the annihilated rank-4 matrix
 ring over Z/2, `corpus_digests.json` stores the sha256 of stdout and the
-exit code of `check`, `extract`, `coordinatize` and `roundtrip` (both
-modes), each run with `--json --no-timestamp`.  It also stores, under the
-key "build <params>", the stdout digest and exit code of the `build`
-commands in BUILDS: grouped rings larger than the corpus, whose dumps go
-through the flattened ring and the block charts.  A change that alters
-any report or dumped file shows up as a diff of that file.
+exit code of `check`, `extract`, `coordinatize`, `roundtrip` (both
+modes) and `verify-lemmas`, each run with `--json --no-timestamp`.  It
+also stores, under the key "build <params>", the stdout digest and exit
+code of the `build` commands in BUILDS: grouped rings larger than the
+corpus, whose dumps go through the flattened ring and the block charts.
+A change that alters any report or dumped file shows up as a diff of that
+file.
 
 Regenerate it with
 
@@ -36,7 +37,8 @@ VERBS = (("check",), ("extract",),
          ("coordinatize", "--mode", "firm"),
          ("coordinatize", "--mode", "reduced"),
          ("roundtrip", "--mode", "firm"),
-         ("roundtrip", "--mode", "reduced"))
+         ("roundtrip", "--mode", "reduced"),
+         ("verify-lemmas",))
 
 BUILDS = ("grouped 6 2 1|2|3|4|56", "grouped 7 2 1|2|3|4|567",
           "grouped 8 2 12|34|56|78", "grouped 5 4 1|2|3|45",
