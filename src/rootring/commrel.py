@@ -14,10 +14,10 @@ from functools import partial
 from itertools import combinations, islice, permutations
 from typing import NamedTuple
 
-from .abelian import AbHom, DirectSum, Subgroup, TensorGroup
-from .errors import PreconditionFailed
-from .rings import (ZERO_TABLE, Table, associator_pairs, bilinear_apply,
-                    nonassociative_triples, relation_rows)
+from .abelian import AbHom, DirectSum, Subgroup, induces_isomorphism
+from .errors import NotWellDefined, PreconditionFailed
+from .rings import (ZERO_TABLE, RelTensor, Table, bilinear_apply,
+                    nonassociative_triples)
 
 
 class Root(NamedTuple):
@@ -165,30 +165,22 @@ def check_idempotent_rel(D):
 def _firm_quadruple(D, i, j, k, l):
     """The exactness datum at one quadruple of distinct indices.
 
-    Returns (kernel, image, ambient) inside
-    (U_ij (x) U_jl) + (U_ik (x) U_kl): the kernel of the combined bracket
-    into U_il, and the image of the six-term relation map whose sources are
-    U_ij (x) U_jk (x) U_kl and U_ik (x) U_kj (x) U_jl.  That image is
-    spanned by the associator relations of `rings.associator_pairs` through
-    U_jk and, with the summands swapped, through U_kj.  Firmness at the
-    quadruple is kernel == image.
+    Returns (tensor, bracket): the `RelTensor` on the summands
+    j: U_ij (x) U_jl and k: U_ik (x) U_kl, whose relations are the image of
+    the six-term relation map with sources U_ij (x) U_jk (x) U_kl and
+    U_ik (x) U_kj (x) U_jl, spanned by the associator relations through
+    U_jk and, with the summands swapped, through U_kj; and the combined
+    bracket from its ambient into U_il.  Firmness at the quadruple is
+    kernel == image: on idempotent data the bracket is onto, so that is
+    the bracket inducing an isomorphism from the balanced tensor.
     """
-    T = (TensorGroup(D.module(i, j), D.module(j, l)),
-         TensorGroup(D.module(i, k), D.module(k, l)))
-    amb = DirectSum([T[0].group, T[1].group])
-    bracket = AbHom(amb.group, D.module(i, l),
-                    T[0].values(partial(D.cvalue, i, j, l))
-                    + T[1].values(partial(D.cvalue, i, k, l)))
-
-    def relations(m, n, p, q):
-        """x (x) yz - xy (x) z for y in U_mn, x (x) yz in summand p."""
-        pairs = associator_pairs(T[p], T[q], D.module(m, n),
-                                 partial(D.cvalue, i, m, n),
-                                 partial(D.cvalue, m, n, l))
-        return relation_rows(amb, pairs, p, q)
-
-    image = Subgroup(amb.group, relations(j, k, 0, 1) + relations(k, j, 1, 0))
-    return bracket.kernel(), image, amb
+    tensor = RelTensor(
+        {j: (D.module(i, j), D.module(j, l)),
+         k: (D.module(i, k), D.module(k, l))},
+        [(m, n, D.module(m, n), partial(D.cvalue, i, m, n),
+          partial(D.cvalue, m, n, l)) for m, n in ((j, k), (k, j))])
+    return tensor, tensor.hom(D.module(i, l),
+                              {m: partial(D.cvalue, i, m, l) for m in (j, k)})
 
 
 def _require_idempotent(D):
@@ -217,8 +209,13 @@ def _firm_rel(D):
     for i, j, k, l in permutations(range(D.rank), 4):
         if j > k:
             continue
-        kernel, image, _ = _firm_quadruple(D, i, j, k, l)
-        if kernel != image:
+        tensor, bracket = _firm_quadruple(D, i, j, k, l)
+        try:
+            exact = induces_isomorphism(bracket, tensor.relations)
+        except NotWellDefined:    # unchecked data that does not associate
+            exact = False
+        if not exact:
+            kernel, image = bracket.kernel(), tensor.relations
             culprit = next((row for row in kernel.basis()
                             if not image.contains(row)), None)
             if culprit is None:

@@ -20,90 +20,35 @@ from functools import cache, partial
 from itertools import permutations, product
 
 from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
-                      induced_map, induces_isomorphism, quotient)
+                      induces_isomorphism)
 from .commrel import (_firm_rel, _reduced_rel, check_idempotent_rel,
                       check_K_linear)
-from .errors import (IndexClash, InjectivityFailure, InternalAlarm,
-                     NotHomomorphism, NotWellDefined, PreconditionFailed,
-                     RankTooSmall)
-from .rings import (PeirceHom, PeirceRing, PredicateReport, _is_reduced_given,
-                    associator_pairs, is_firm, is_idempotent,
-                    nonassociative_triples, relation_rows)
-
-
-# -- the relation subgroup between two tensor summands -----------------------
-
-def relation_subgroup(D, s, i, j):
-    """The relations between the summands U_si (x) U_is and U_sj (x) U_js
-    forced by associativity through U_ij, as a subgroup of their direct
-    sum: generated by (x (x) yz, -(xy) (x) z), which
-    `rings.associator_pairs` builds.
-
-    In any associative ring inducing the data both components of such a
-    pair multiply out to the same diagonal element, so the diagonal block
-    must be divided by exactly these.
-    """
-    if len({s, i, j}) != 3:
-        raise IndexClash("indices must be distinct, got %r" % ((s, i, j),))
-    Ti = TensorGroup(D.module(s, i), D.module(i, s))
-    Tj = TensorGroup(D.module(s, j), D.module(j, s))
-    amb = DirectSum([Ti.group, Tj.group])
-    pairs = associator_pairs(Ti, Tj, D.module(i, j),
-                             partial(D.cvalue, s, i, j),
-                             partial(D.cvalue, i, j, s))
-    return Subgroup(amb.group, relation_rows(amb, pairs, 0, 1))
+from .errors import (InjectivityFailure, InternalAlarm, NotHomomorphism,
+                     NotWellDefined, PreconditionFailed, RankTooSmall)
+from .rings import (PeirceHom, PeirceRing, PredicateReport, RelTensor,
+                    _is_reduced_given, is_firm, is_idempotent,
+                    nonassociative_triples)
 
 
 # -- diagonal blocks as quotients (firm data) ---------------------------------
 
-@dataclass(frozen=True)
-class DiagonalPresentation:
-    """One diagonal block presented as a quotient.
-
-    The ambient group is the direct sum over the other indices i (in the
-    order `indices`) of the tensor squares U_si (x) U_is; `pairs[(i, j)]`
-    lists the relation pairs between summands i and j, `relations` is the
-    subgroup they all span and `quot` the quotient with its projection and
-    section.
-    """
-
-    s: int
-    indices: tuple
-    tensors: dict
-    pairs: dict
-    ambient: DirectSum
-    relations: Subgroup
-    quot: object
-
-    def pos(self, i):
-        return self.indices.index(i)
-
-    def class_of(self, i, x, y):
-        """Quotient coordinates of the tensor x (x) y from summand i."""
-        v = self.tensors[i].pure(x, y)
-        return self.quot.proj(self.ambient.embed(self.pos(i), v))
-
-
 def _diagonal_presentation(D, s, order=None):
+    """Diagonal block s as a balanced tensor: the sum of the tensor squares
+    U_si (x) U_is over the other indices i, in `order` (None: increasing),
+    modulo the relations x (x) yz = xy (x) z through every U_ij.  In any
+    associative ring inducing the data both tensors of such a pair
+    multiply out to the same diagonal element, so the diagonal block must
+    be divided by exactly these."""
     idxs = [i for i in range(D.rank) if i != s]
     if order is not None:
         if sorted(order) != idxs:
             raise ValueError("summand order for %d must be a permutation "
                              "of the other indices, got %r" % (s, order))
         idxs = list(order)
-    tens = {i: TensorGroup(D.module(s, i), D.module(i, s)) for i in idxs}
-    amb = DirectSum([tens[i].group for i in idxs])
-    pairs = {(i, j): associator_pairs(tens[i], tens[j], D.module(i, j),
-                                      partial(D.cvalue, s, i, j),
-                                      partial(D.cvalue, i, j, s))
-             for i, j in permutations(idxs, 2)}
-    gens = []
-    for (i, j), ps in pairs.items():
-        gens += relation_rows(amb, ps, idxs.index(i), idxs.index(j))
-    rel = Subgroup(amb.group, gens)
-    return DiagonalPresentation(s=s, indices=tuple(idxs), tensors=tens,
-                                pairs=pairs, ambient=amb, relations=rel,
-                                quot=quotient(amb.group, rel))
+    return RelTensor({i: (D.module(s, i), D.module(i, s)) for i in idxs},
+                     [(i, j, D.module(i, j), partial(D.cvalue, s, i, j),
+                       partial(D.cvalue, i, j, s))
+                      for i, j in permutations(idxs, 2)])
 
 
 def _pair_quotient_bijective(pres, i, j):
@@ -112,23 +57,14 @@ def _pair_quotient_bijective(pres, i, j):
     isomorphism.  The construction of the diagonal multiplications depends
     on this, so it is verified rather than trusted, by the order test of
     `induces_isomorphism`: the two-summand quotient is never presented."""
-    Ti, Tj = pres.tensors[i], pres.tensors[j]
-    amb2 = DirectSum([Ti.group, Tj.group])
-    gens2 = (relation_rows(amb2, pres.pairs[(i, j)], 0, 1)
-             + relation_rows(amb2, pres.pairs[(j, i)], 1, 0))
-    cols = []
-    for t, part in ((0, Ti), (1, Tj)):
-        at = pres.pos(i if t == 0 else j)
-        for loc in range(part.group.dim):
-            e = part.group.gen(loc)
-            cols.append(pres.quot.proj(pres.ambient.embed(at, e)))
-    f = AbHom(amb2.group, pres.quot.group, cols)
-    return induces_isomorphism(f, Subgroup(amb2.group, gens2))
+    pair = pres.restrict((i, j))
+    f = pair.hom(pres.quot.group, {k: partial(pres.pure, k) for k in (i, j)})
+    return induces_isomorphism(f, pair.relations)
 
 
-def _supported_preimages(pres, kept):
-    """One ambient preimage per quotient generator, supported on the
-    ambient coordinates `kept`, plus the kernel of the restricted
+def _supported_preimages(s, pres, kept):
+    """One ambient preimage per generator of diagonal block s, supported on
+    the ambient coordinates `kept`, plus the kernel of the restricted
     projection.  Returns (preimages, kernel_rows); preimages are sparse
     {coordinate: coefficient} dicts."""
     Q = pres.quot.group
@@ -141,7 +77,7 @@ def _supported_preimages(pres, kept):
         if lam is None:
             raise InternalAlarm(
                 "diagonal class has no representative off one summand",
-                witness=(pres.s, p))
+                witness=(s, p))
         pres_list.append({kept[c]: v for c, v in enumerate(lam) if v})
     kernel_rows = [{kept[c]: v for c, v in enumerate(row) if v}
                    for row in f.kernel().basis()]
@@ -151,15 +87,14 @@ def _supported_preimages(pres, kept):
 def _coordinate_summand(pres):
     """Map each ambient coordinate to (summand index, generator pair)."""
     out = {}
-    for i in pres.indices:
-        T = pres.tensors[i]
+    for i, T in pres.tensors.items():
         off = pres.ambient.offsets[pres.pos(i)]
         for loc, pair in enumerate(T.pairs):
             out[off + loc] = (i, pair)
     return out
 
 
-def _diagonal_actions(D, pres, j, coord_info):
+def _diagonal_actions(D, s, pres, j, coord_info):
     """Structure tables for R_ss x R_sj -> R_sj and R_js x R_ss -> R_js.
 
     A class of the diagonal quotient acts through any representative
@@ -168,11 +103,10 @@ def _diagonal_actions(D, pres, j, coord_info):
     to act by zero, which is what makes the choice of representative
     irrelevant.
     """
-    s = pres.s
     Q = pres.quot.group
     Gsj, Gjs = D.module(s, j), D.module(j, s)
     kept = [t for t, (k, _) in sorted(coord_info.items()) if k != j]
-    pre, kern = _supported_preimages(pres, kept)
+    pre, kern = _supported_preimages(s, pres, kept)
 
     def left_value(vec, v):
         out = Gsj.zero
@@ -215,7 +149,7 @@ def _diagonal_actions(D, pres, j, coord_info):
     return left, right
 
 
-def _diagonal_square(D, pres, left_tables, coord_info):
+def _diagonal_square(D, s, pres, left_tables, coord_info):
     """Structure table for R_ss x R_ss -> R_ss.
 
     The second factor is expanded into pure tensors through the canonical
@@ -223,7 +157,6 @@ def _diagonal_square(D, pres, left_tables, coord_info):
     built actions.  Every relation generator is checked to be killed, so
     the expansion choice does not matter.
     """
-    s = pres.s
     Q = pres.quot.group
 
     def act(p, vec):
@@ -233,7 +166,7 @@ def _diagonal_square(D, pres, left_tables, coord_info):
             u = left_tables[m].get((p, a))
             if u is None or not any(u):
                 continue
-            term = pres.class_of(m, u, D.module(m, s).gen(b))
+            term = pres.pure(m, u, D.module(m, s).gen(b))
             out = Q.add(out, Q.scale(c, term))
         return out
 
@@ -259,8 +192,8 @@ def _firm_diagonal(D, s, order, tables, certificates):
     tables involving R_ss and the two-summand checks."""
     pres = _diagonal_presentation(D, s, order)
     pair_checks = certificates.setdefault("pair_quotient_bijective", {})
-    for a, i in enumerate(pres.indices):
-        for j in pres.indices[a + 1:]:
+    for a, i in enumerate(pres.keys):
+        for j in pres.keys[a + 1:]:
             good = _pair_quotient_bijective(pres, i, j)
             pair_checks[(s, i, j)] = good
             if not good:
@@ -269,22 +202,22 @@ def _firm_diagonal(D, s, order, tables, certificates):
                                     witness=(s, i, j))
     coord_info = _coordinate_summand(pres)
     left_tables = {}
-    for j in pres.indices:
-        left, right = _diagonal_actions(D, pres, j, coord_info)
+    for j in pres.keys:
+        left, right = _diagonal_actions(D, s, pres, j, coord_info)
         left_tables[j] = left
         if left:
             tables[(s, s, j)] = left
         if right:
             tables[(j, s, s)] = right
-    for j in pres.indices:
+    for j in pres.keys:
         Gsj, Gjs = D.module(s, j), D.module(j, s)
         tab = {}
         for a, x in enumerate(Gsj.gens()):
             for b, y in enumerate(Gjs.gens()):
-                tab[(a, b)] = pres.class_of(j, x, y)
+                tab[(a, b)] = pres.pure(j, x, y)
         if tab:
             tables[(s, j, s)] = tab
-    square = _diagonal_square(D, pres, left_tables, coord_info)
+    square = _diagonal_square(D, s, pres, left_tables, coord_info)
     if square:
         tables[(s, s, s)] = square
     return pres, pres.quot.group
@@ -689,12 +622,9 @@ def connecting_hom(D, built, original):
     for s in range(original.rank):
         pres = built.diagonals[s]
         if built.mode == "firm":
-            cols = []
-            for i in pres.indices:
-                cols += pres.tensors[i].values(
-                    partial(original.block_mul, s, i, s))
-            f = AbHom(pres.ambient.group, original.blocks[(s, s)], cols)
-            homs[(s, s)] = induced_map(f, pres.quot)
+            homs[(s, s)] = pres.induced_hom(
+                original.blocks[(s, s)],
+                {i: partial(original.block_mul, s, i, s) for i in pres.keys})
         else:
             i0, j0 = pres.base_pair
             amb = pres.ambient.group

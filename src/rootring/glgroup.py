@@ -102,14 +102,6 @@ def transvection(R, i, j, a):
     return QuasiUnit(R, R.embed(i, j, a), inv=R.embed(i, j, G.neg(a)))
 
 
-def eval_st_word(R, word):
-    """Fold a sequence of (i, j, a) transvection letters with circle."""
-    acc = identity_unit(R)
-    for (i, j, a) in word:
-        acc = acc.circle(transvection(R, i, j, a))
-    return acc
-
-
 def _transvection_letters(R, elements="generators"):
     """(i, j, a) triples: per off-diagonal block either the generators and
     their negatives, or every nonzero element."""

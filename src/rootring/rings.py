@@ -25,7 +25,8 @@ from .abelian import (AbHom, DirectSum, FinAbGroup, Subgroup, TensorGroup,
                       induced_map, induces_isomorphism, quotient)
 from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
                      ModuleNotFirm, NotIdempotent, NotIdempotentFamily,
-                     PairingNotSurjective, PreconditionFailed, RankTooSmall)
+                     NotWellDefined, PairingNotSurjective, PreconditionFailed,
+                     RankTooSmall)
 
 # The largest rank accepted from a file header or a build command.  The
 # checks on a block ring cost about rank^4: on mat_ring(16, Z/2) `check`
@@ -513,34 +514,7 @@ def peirce_from_idempotents(R, idems):
     return ring, charts
 
 
-# -- associator relations and balanced tensor products -----------------------
-
-
-def associator_pairs(left, right, mid, xy, yz):
-    """The pairs (x (x) yz, xy (x) z) in left x right that associativity
-    identifies, over generator triples (x, y, z) in lexicographic order.
-
-    x runs over left.left, y over `mid` and z over right.right; xy(x, y)
-    lies in right.left and yz(y, z) in left.right.  By biadditivity the
-    generator triples generate all such relations.  Balanced tensors, the
-    diagonal presentations of the firm rebuild and firmness of commutator
-    data all build their relations here.  yz is computed once per (y, z).
-    """
-    ys, zs = mid.gens(), right.right.gens()
-    yzs = [[yz(y, z) for z in zs] for y in ys]
-    out = []
-    for x in left.left.gens():
-        for y, yz_row in zip(ys, yzs):
-            xy_val = xy(x, y)
-            out += [(left.pure(x, v), right.pure(xy_val, z))
-                    for z, v in zip(zs, yz_row)]
-    return out
-
-
-def relation_rows(amb, pairs, p, q):
-    """The differences a - b of `pairs`, with a in summand p and b in
-    summand q of the direct sum `amb`."""
-    return [amb.group.sub(amb.embed(p, a), amb.embed(q, b)) for a, b in pairs]
+# -- modules and balanced tensor products -------------------------------------
 
 
 def _first_action_failure(module, quad):
@@ -596,55 +570,94 @@ class LeftModule:
 
 
 class RelTensor:
-    """M tensor_S N: the Z-tensor of the groups modulo the middle relations
-    m (x) (s.n) - (m.s) (x) n, built by `associator_pairs` on generator
-    triples (enough by biadditivity)."""
+    """The balanced tensor: the direct sum of the Z-tensors L_p (x) R_p over
+    the `summands` {p: (L_p, R_p)}, in their order, modulo associator
+    relations.
 
-    __slots__ = ("left", "right", "tensor", "quot", "group")
+    A relation (p, q, mid, xy, yz) identifies x (x) yz in summand p with
+    xy (x) z in summand q, for x in L_p, y in `mid` and z in R_q, where
+    xy(x, y) lies in L_q and yz(y, z) in R_p.  By biadditivity generator
+    triples (x, y, z), in lexicographic order, generate all of them.
+    `pairs[(p, q)]` lists their pairs of tensors and `relations` is the
+    subgroup of `ambient` that their differences span.  Balanced tensors
+    over a ring, the blocks of the universal ring, the diagonal blocks of
+    the firm rebuild and every firmness check are built here.
 
-    def __init__(self, left, right):
-        same = left.ring is right.ring or (
-            left.ring.additive == right.ring.additive
-            and left.ring.table == right.ring.table)
-        if not same:
-            raise ValueError("modules are over different rings")
-        self.left = left
-        self.right = right
-        self.tensor = TensorGroup(left.group, right.group)
-        T = self.tensor.group
-        pairs = associator_pairs(self.tensor, self.tensor, left.ring.additive,
-                                 left.act, right.act)
-        self.quot = quotient(T, Subgroup(T, [T.sub(a, b) for a, b in pairs]))
-        self.group = self.quot.group
+    The quotient `quot` is presented on first use, so a check that asks
+    only `induces_isomorphism(B.hom(...), B.relations)` presents none.
 
-    def pure(self, m, n):
-        return self.quot.proj(self.tensor.pure(m, n))
+    >>> Z4 = FinRing.zmod(4)
+    >>> G = Z4.additive
+    >>> B = RelTensor({0: (G, G)}, [(0, 0, G, Z4.mul, Z4.mul)])
+    >>> B.quot.group.invariant_factors()
+    (4,)
+    """
 
-    def induced_hom(self, target, on_pure):
-        """The homomorphism group -> target sending pure(m, n) to
-        on_pure(m, n); on_pure is evaluated on generator pairs and must be
-        balanced or NotWellDefined is raised."""
-        return induced_map(self.tensor.hom(target, on_pure), self.quot)
+    __slots__ = ("keys", "tensors", "ambient", "pairs", "relations", "_quot")
+
+    def __init__(self, summands, relations):
+        tensors = {p: TensorGroup(L, R) for p, (L, R) in summands.items()}
+        pairs = {}
+        for p, q, mid, xy, yz in relations:
+            Tp, Tq = tensors[p], tensors[q]
+            ys, zs = mid.gens(), Tq.right.gens()
+            yzs = [[yz(y, z) for z in zs] for y in ys]
+            out = pairs.setdefault((p, q), [])
+            for x in Tp.left.gens():
+                for y, yz_row in zip(ys, yzs):
+                    xy_val = xy(x, y)
+                    out += [(Tp.pure(x, v), Tq.pure(xy_val, z))
+                            for z, v in zip(zs, yz_row)]
+        self._build(tensors, pairs)
+
+    def _build(self, tensors, pairs):
+        self.keys = tuple(tensors)
+        self.tensors = tensors
+        self.ambient = amb = DirectSum([T.group for T in tensors.values()])
+        self.pairs = pairs
+        self.relations = Subgroup(amb.group, [
+            amb.group.sub(amb.embed(self.pos(p), a), amb.embed(self.pos(q), b))
+            for (p, q), ps in pairs.items() for a, b in ps])
+        self._quot = None
+
+    def restrict(self, keys):
+        """The balanced tensor on the summands `keys`, in that order, and
+        the relations among them, reusing the pairs built here."""
+        out = object.__new__(RelTensor)
+        out._build({p: self.tensors[p] for p in keys},
+                   {pq: ps for pq, ps in self.pairs.items()
+                    if pq[0] in keys and pq[1] in keys})
+        return out
+
+    def pos(self, p):
+        """The place of summand p in the direct sum."""
+        return self.keys.index(p)
+
+    @property
+    def quot(self):
+        if self._quot is None:
+            self._quot = quotient(self.ambient.group, self.relations)
+        return self._quot
+
+    def pure(self, p, x, y):
+        """Quotient coordinates of the tensor x (x) y of summand p."""
+        return self.quot.proj(self.ambient.embed(self.pos(p),
+                                                 self.tensors[p].pure(x, y)))
+
+    def hom(self, target, muls):
+        """The homomorphism ambient -> target sending x (x) y in summand p
+        to muls[p](x, y), for biadditive maps muls[p]."""
+        return AbHom(self.ambient.group, target,
+                     [v for p in self.keys
+                      for v in self.tensors[p].values(muls[p])])
+
+    def induced_hom(self, target, muls):
+        """`hom` factored through the quotient; NotWellDefined unless it
+        kills the relations."""
+        return induced_map(self.hom(target, muls), self.quot)
 
 
 # -- predicates ---------------------------------------------------------------
-
-
-def _diag_finring(R, j):
-    return FinRing(R.blocks[(j, j)], R.tables.get((j, j, j), ZERO_TABLE),
-                   modulus=R.modulus, check=False)
-
-
-def _block_right_module(R, i, j):
-    """R_ij as a right module over the diagonal ring R_jj."""
-    return RightModule(R.blocks[(i, j)], _diag_finring(R, j),
-                       R.tables.get((i, j, j), ZERO_TABLE), check=False)
-
-
-def _block_left_module(R, j, k):
-    """R_jk as a left module over the diagonal ring R_jj."""
-    return LeftModule(R.blocks[(j, k)], _diag_finring(R, j),
-                      R.tables.get((j, j, k), ZERO_TABLE), check=False)
 
 
 @dataclass
@@ -676,21 +689,25 @@ def is_firm(R):
     """All balanced pairing maps R_ij (x)_{R_jj} R_jk -> R_ik are
     isomorphisms; returns (ok, witness), the first failing (i, j, k).
 
-    The balanced tensor is T / rel, T = R_ij (x) R_jk and rel spanned by the
-    associator relations through R_jj, the generators `RelTensor` uses.
-    The product T -> R_ik must kill rel (NotWellDefined otherwise, as from
-    `RelTensor.induced_hom`), and the pairing map is then an isomorphism iff
-    the product is onto and |T| / |rel| = |R_ik|: no quotient is presented.
+    The balanced tensor is the one-summand `RelTensor` on R_ij (x) R_jk
+    with the associator relations through R_jj.  The product must kill
+    them, or NotWellDefined is raised with the witness ((i, j, k), row), row
+    the first Hermite row of the relations that it does not kill.  The
+    pairing map is then an isomorphism iff `induces_isomorphism` says so,
+    and no quotient is presented.
     """
     l = R.rank
     for i, j, k in product(range(l), repeat=3):
-        T = TensorGroup(R.blocks[(i, j)], R.blocks[(j, k)])
-        f = T.hom(R.blocks[(i, k)], partial(R.block_mul, i, j, k))
-        pairs = associator_pairs(T, T, R.blocks[(j, j)],
-                                 partial(R.block_mul, i, j, j),
-                                 partial(R.block_mul, j, j, k))
-        rel = Subgroup(T.group, [T.group.sub(a, b) for a, b in pairs])
-        if not induces_isomorphism(f, rel):
+        B = RelTensor({j: (R.blocks[(i, j)], R.blocks[(j, k)])},
+                      [(j, j, R.blocks[(j, j)], partial(R.block_mul, i, j, j),
+                        partial(R.block_mul, j, j, k))])
+        f = B.hom(R.blocks[(i, k)], {j: partial(R.block_mul, i, j, k)})
+        try:
+            ok = induces_isomorphism(f, B.relations)
+        except NotWellDefined as e:
+            raise NotWellDefined(str(e), witness=((i, j, k), e.witness)) \
+                from None
+        if not ok:
             return False, (i, j, k)
     return True, None
 
@@ -845,48 +862,50 @@ def morita_ring(R, P, Q, pairing):
             raise PreconditionFailed(
                 "%s is not a module over Z/%d" % (name, R.modulus))
 
-    # firmness of R and of both modules
-    r_right = RightModule(R.additive, R, R.table, check=False)
-    r_left = LeftModule(R.additive, R, R.table, check=False)
-    t = RelTensor(r_right, r_left)
-    if not t.induced_hom(R.additive, R.mul).is_isomorphism():
+    # firmness of R and of both modules: the action induces an isomorphism
+    # from the balanced tensor L (x)_R Rt onto the module
+    G = R.additive
+
+    def firm(L, Rt, xy, yz, act, target):
+        B = RelTensor({0: (L, Rt)}, [(0, 0, G, xy, yz)])
+        return induces_isomorphism(B.hom(target, {0: act}), B.relations)
+
+    if not firm(G, G, R.mul, R.mul, R.mul, G):
         raise ModuleNotFirm("the coefficient ring is not firm")
-    tp = RelTensor(P, r_left)
-    if not tp.induced_hom(P.group, P.act).is_isomorphism():
+    if not firm(P.group, G, P.act, R.mul, P.act, P.group):
         raise ModuleNotFirm("P tensor R -> P is not an isomorphism")
-    tq = RelTensor(r_right, Q)
-    if not tq.induced_hom(Q.group, Q.act).is_isomorphism():
+    if not firm(G, Q.group, R.mul, Q.act, Q.act, Q.group):
         raise ModuleNotFirm("R tensor Q -> Q is not an isomorphism")
 
-    S = RelTensor(P, Q)
+    S = RelTensor({0: (P.group, Q.group)}, [(0, 0, G, P.act, Q.act)])
+    SG = S.quot.group
 
     # an element u of S acts through the tensor coordinates of its section:
     # (p (x) q) p2 = p (q, p2), q2 (p (x) q) = (q2, p) q, and the product
     # (p (x) q) v is the tensor of (p (x) q) p2 and q2 over v = p2 (x) q2
     def s_times_p(u, p2):
-        return S.tensor.hom(P.group, lambda p, q: P.act(p, pair(q, p2)))(
+        return S.hom(P.group, {0: lambda p, q: P.act(p, pair(q, p2))})(
             S.quot.section(u))
 
     def q_times_s(q2, u):
-        return S.tensor.hom(Q.group, lambda p, q: Q.act(pair(q2, p), q))(
+        return S.hom(Q.group, {0: lambda p, q: Q.act(pair(q2, p), q)})(
             S.quot.section(u))
 
     def s_times_s(u, v):
-        return S.tensor.hom(S.group, lambda p, q: S.pure(s_times_p(u, p), q))(
+        return S.hom(SG, {0: lambda p, q: S.pure(0, s_times_p(u, p), q)})(
             S.quot.section(v))
 
     def table_from(fun, left_group, right_group):
         return {(a, b): fun(x, y) for a, x in enumerate(left_group.gens())
                 for b, y in enumerate(right_group.gens())}
 
-    blocks = {(0, 0): S.group, (0, 1): P.group,
-              (1, 0): Q.group, (1, 1): R.additive}
+    blocks = {(0, 0): SG, (0, 1): P.group, (1, 0): Q.group, (1, 1): G}
     tables = {
-        (0, 0, 0): table_from(s_times_s, S.group, S.group),
-        (0, 0, 1): table_from(s_times_p, S.group, P.group),
-        (0, 1, 0): table_from(S.pure, P.group, Q.group),
+        (0, 0, 0): table_from(s_times_s, SG, SG),
+        (0, 0, 1): table_from(s_times_p, SG, P.group),
+        (0, 1, 0): table_from(partial(S.pure, 0), P.group, Q.group),
         (0, 1, 1): dict(P.table),
-        (1, 0, 0): table_from(q_times_s, Q.group, S.group),
+        (1, 0, 0): table_from(q_times_s, Q.group, SG),
         (1, 0, 1): dict(pairing),
         (1, 1, 0): dict(Q.table),
         (1, 1, 1): dict(R.table),
@@ -895,9 +914,14 @@ def morita_ring(R, P, Q, pairing):
 
 
 def universal_ring(R):
-    """Replace every block R_ij by (row i) tensor_R (col j) with the induced
-    multiplication.  Returns (ring, hom) where hom is the canonical map back
-    to R given by multiplying the two legs.
+    """Replace every block R_ij by the balanced tensor of the sum of the
+    R_ik (x) R_kj over k, modulo x (x) yz = xy (x) z for y in every R_km,
+    with the product (x (x) y)(x2 (x) y2) = x (x) (y x2) y2.  Returns (ring,
+    hom) where hom is the canonical map back to R, x (x) y |-> xy.
+
+    This is the tensor of row i with column j over all of R: R is
+    idempotent, so x in R_im is a sum of products a b with b in R_km, and
+    x (x) y = a (x) b y vanishes for y in R_nj, n != m.
 
     Requires R idempotent.  The result is always firm, and hom is a
     blockwise isomorphism exactly when R itself is firm.
@@ -905,71 +929,45 @@ def universal_ring(R):
     ok, wit = is_idempotent(R)
     if not ok:
         raise NotIdempotent("ring is not idempotent at blocks %r" % (wit,))
-    l = R.rank
-    total = R.as_finring()
-    G = total.additive
+    idx = range(R.rank)
+    mul = R.block_mul
+    tens = {(i, j): RelTensor(
+        {k: (R.blocks[(i, k)], R.blocks[(k, j)]) for k in idx},
+        [(k, m, R.blocks[(k, m)], partial(mul, i, k, m), partial(mul, k, m, j))
+         for k in idx for m in idx]) for i in idx for j in idx}
+    blocks = {ij: B.quot.group for ij, B in tens.items()}
 
-    def strip(parts, side):
-        """The blocks `parts` of R summed into one group: the module it is
-        over the total ring acting on `side`, its inclusion into the total
-        ring (each generator embedded once) and the projection back."""
-        ds = DirectSum([R.blocks[ij] for ij in parts])
-        incl = AbHom(ds.group, G, [R.embed(*ij, g) for ij in parts
-                                   for g in R.blocks[ij].gens()])
+    # the nonzero coordinates of the section of each generator, as
+    # (coefficient, k, x, y) for the tensor x (x) y in summand k
+    sections = {}
+    for ij, B in tens.items():
+        legs = [(k, T.left.gen(a), T.right.gen(b))
+                for k, T in B.tensors.items() for a, b in T.pairs]
+        sections[ij] = [[(c,) + legs[t] for t, c in
+                         enumerate(B.quot.section(g)) if c]
+                        for g in blocks[ij].gens()]
 
-        def project(vec):
-            return ds.assemble([R.project(*ij, vec) for ij in parts])
-
-        if side == "right":
-            mod = RightModule(ds.group, total, {
-                (a, s): project(total.mul(x, g))
-                for a, x in enumerate(incl.cols)
-                for s, g in enumerate(G.gens())}, check=False)
-        else:
-            mod = LeftModule(ds.group, total, {
-                (s, a): project(total.mul(g, x))
-                for s, g in enumerate(G.gens())
-                for a, x in enumerate(incl.cols)}, check=False)
-        return mod, incl, project
-
-    row_mod, row_incl, row_proj = zip(*(
-        strip([(i, j) for j in range(l)], "right") for i in range(l)))
-    col_mod, col_incl, _ = zip(*(
-        strip([(i, j) for i in range(l)], "left") for j in range(l)))
-    tens = {(i, j): RelTensor(row_mod[i], col_mod[j])
-            for i in range(l) for j in range(l)}
-    blocks = {ij: tens[ij].group for ij in tens}
-    sections = {ij: [t.quot.section(g) for g in t.group.gens()]
-                for ij, t in tens.items()}
-
-    # (x (x) y)(x2 (x) y2) = x (y x2) (x) y2, summed over the tensor
-    # coordinates of the sections of two generators
     tables = {}
-    for i, j, k in product(range(l), repeat=3):
-        tij, tjk, tik = tens[(i, j)], tens[(j, k)], tens[(i, k)]
-        xs, ys, x2s = row_incl[i].cols, col_incl[j].cols, row_incl[j].cols
-        y2s = tjk.right.group.gens()
+    for i, j, n in product(idx, repeat=3):
+        B = tens[(i, n)]
+        amb = B.ambient
         tab = {}
-        for a, ca in enumerate(sections[(i, j)]):
-            for b, cb in enumerate(sections[(j, k)]):
-                acc = tik.group.zero
-                for c1, (p1, p2) in zip(ca, tij.tensor.pairs):
-                    if not c1:
-                        continue
-                    for c2, (q1, q2) in zip(cb, tjk.tensor.pairs):
-                        if c2:
-                            x = row_proj[i](total.mul(xs[p1], total.mul(
-                                ys[p2], x2s[q1])))
-                            acc = tik.group.add(acc, tik.group.scale(
-                                c1 * c2, tik.pure(x, y2s[q2])))
-                tab[(a, b)] = acc
-        tables[(i, j, k)] = tab
+        for a, us in enumerate(sections[(i, j)]):
+            for b, vs in enumerate(sections[(j, n)]):
+                acc = [0] * amb.group.dim
+                for c1, k, x, y in us:
+                    T, off = B.tensors[k], amb.offsets[B.pos(k)]
+                    for c2, m, x2, y2 in vs:
+                        w = mul(k, m, n, mul(k, j, m, y, x2), y2)
+                        for t, v in enumerate(T.pure(x, w)):
+                            acc[off + t] += c1 * c2 * v
+                tab[(a, b)] = B.quot.proj(amb.group.reduce(acc))
+        tables[(i, j, n)] = tab
 
-    out = PeirceRing(l, R.modulus, blocks, tables)
-    homs = {(i, j): t.induced_hom(
-        R.blocks[(i, j)], lambda x, y, i=i, j=j: R.project(
-            i, j, total.mul(row_incl[i](x), col_incl[j](y))))
-        for (i, j), t in tens.items()}
+    out = PeirceRing(R.rank, R.modulus, blocks, tables)
+    homs = {(i, j): B.induced_hom(R.blocks[(i, j)],
+                                  {k: partial(mul, i, k, j) for k in idx})
+            for (i, j), B in tens.items()}
     return out, PeirceHom(out, R, homs)
 
 

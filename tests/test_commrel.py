@@ -110,11 +110,19 @@ def test_firm_rel_needs_idempotent():
         check_firm_rel(extract(_ut_ring(4, 2)))
 
 
+def _exactness(D, i, j, k, l):
+    """(kernel, image, ambient) of _firm_quadruple(D, i, j, k, l): the
+    kernel of the bracket and the relations, in the direct sum of the
+    U_ij (x) U_jl and U_ik (x) U_kl."""
+    tensor, bracket = _firm_quadruple(D, i, j, k, l)
+    return bracket.kernel(), tensor.relations, tensor.ambient
+
+
 def test_firm_quadruple_detects_zeroed_module():
     D = _without_module(extract(mat_ring(4, FinRing.zmod(2))), (2, 1))
     with pytest.raises(PreconditionFailed):
         check_firm_rel(D)
-    kernel, image, _ = _firm_quadruple(D, 0, 2, 3, 1)
+    kernel, image, _ = _exactness(D, 0, 2, 3, 1)
     assert kernel != image
     assert kernel.is_trivial() and not image.is_trivial()
 
@@ -136,8 +144,8 @@ def _swapped(sub, split, ambient):
 def test_firm_quadruple_is_symmetric_in_the_middle_pair():
     for D in _rank4_data():
         for i, j, k, l in permutations(range(4), 4):
-            kernel, image, amb = _firm_quadruple(D, i, j, k, l)
-            kernel2, image2, amb2 = _firm_quadruple(D, i, k, j, l)
+            kernel, image, amb = _exactness(D, i, j, k, l)
+            kernel2, image2, amb2 = _exactness(D, i, k, j, l)
             split = amb.parts[0].dim
             assert amb2.parts == amb.parts[::-1]
             assert kernel2 == _swapped(kernel, split, amb2.group)
@@ -147,7 +155,7 @@ def test_firm_quadruple_is_symmetric_in_the_middle_pair():
 def _firm_rel_over_all_quadruples(D):
     """_firm_rel written out over every ordered quadruple."""
     for quad in permutations(range(D.rank), 4):
-        kernel, image, _ = _firm_quadruple(D, *quad)
+        kernel, image, _ = _exactness(D, *quad)
         for a, b in ((kernel, image), (image, kernel)):
             culprit = next((v for v in a.basis() if not b.contains(v)), None)
             if culprit is not None:

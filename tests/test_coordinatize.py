@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -10,18 +11,26 @@ from rootring.coordinatize import (DERIVED_PATTERNS, HYPOTHESIS_PATTERNS,
                                    _pair_quotient_bijective, _pattern_name,
                                    connecting_hom,
                                    firm_coordinatize, reduced_coordinatize,
-                                   relation_subgroup,
                                    verify_associativity_patterns)
 from rootring.corpus import corrupted_matrix, grouped_entry, standard_corpus
-from rootring.errors import (IndexClash, NotHomomorphism, PreconditionFailed,
-                             RankTooSmall)
-from rootring.rings import FinRing, PeirceRing, mat_ring
+from rootring.errors import NotHomomorphism, PreconditionFailed, RankTooSmall
+from rootring.rings import FinRing, PeirceRing, RelTensor, mat_ring
 
 
 def _trivial_data(rank, n):
     return CommRelData(rank, n,
                        {(r.i, r.j): FinAbGroup([]) for r in all_roots(rank)},
                        {})
+
+
+def relation_subgroup(D, s, i, j):
+    """The relations between the summands U_si (x) U_is and U_sj (x) U_js
+    of diagonal block s forced by associativity through U_ij, as the
+    balanced tensor builds them: generated by x (x) yz - xy (x) z."""
+    return RelTensor({i: (D.module(s, i), D.module(i, s)),
+                      j: (D.module(s, j), D.module(j, s))},
+                     [(i, j, D.module(i, j), partial(D.cvalue, s, i, j),
+                       partial(D.cvalue, i, j, s))]).relations
 
 
 def test_relation_subgroup_matrix_examples():
@@ -36,6 +45,11 @@ def test_relation_subgroup_matrix_examples():
     A3 = relation_subgroup(D3, 0, 1, 2)
     assert A3.order() == 3
     assert sorted(A3.elements()) == [(0, 0), (1, 2), (2, 1)]
+    # the diagonal presentation relates the pair through U_ij and U_ji,
+    # which over a matrix ring span the same subgroup
+    for D in (D2, D3):
+        assert _diagonal_presentation(D, 0).restrict((1, 2)).relations \
+            == relation_subgroup(D, 0, 1, 2)
 
 
 def test_relation_subgroup_dead_module_and_index_clash():
@@ -47,8 +61,9 @@ def test_relation_subgroup_dead_module_and_index_clash():
                                (key[0], key[2]))}
     D0 = CommRelData(4, 2, modules, cmaps, check=False)
     assert relation_subgroup(D0, 0, 1, 2).is_trivial()
-    with pytest.raises(IndexClash):
-        relation_subgroup(D, 0, 0, 2)
+    # a diagonal block cannot take its own index as a summand
+    with pytest.raises(ValueError, match="permutation"):
+        firm_coordinatize(D, summand_order={0: [0, 2, 3]})
 
 
 def test_firm_roundtrip_mat4_z2():
@@ -112,7 +127,7 @@ def test_uniqueness_under_summand_reordering():
              for s in range(4)}
     second = firm_coordinatize(D, summand_order=order)
     for s in range(4):
-        assert second.diagonals[s].indices == tuple(order[s])
+        assert second.diagonals[s].keys == tuple(order[s])
     rep = connecting_hom(D, first, second.ring)
     assert rep.is_isomorphism
     for i in range(4):
@@ -217,10 +232,10 @@ def test_pair_quotient_test_matches_presenting_it():
     presentations += [_diagonal_presentation(dead, s) for s in range(4)]
     seen = set()
     for pres in presentations:
-        for i, j in permutations(pres.indices, 2):
+        for i, j in permutations(pres.keys, 2):
             got = _pair_quotient_bijective(pres, i, j)
             assert got == _pair_quotient_by_presenting(pres, i, j), \
-                (pres.s, i, j)
+                (pres.keys, i, j)
             seen.add(got)
     assert seen == {True, False}
 

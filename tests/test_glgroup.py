@@ -6,9 +6,9 @@ from rootring.errors import (BlockMismatch, BoundExceeded, IndexClash,
                              NotIdempotent, NotQuasiInvertible, RankTooSmall)
 from rootring.glgroup import (QuasiUnit, SteinbergReport,
                               _transvection_letters, circ,
-                              elementary_subgroup, eval_st_word,
-                              identity_unit, perfectness_and_center,
-                              quasi_inverse, transvection, verify_steinberg)
+                              elementary_subgroup, identity_unit,
+                              perfectness_and_center, quasi_inverse,
+                              transvection, verify_steinberg)
 from rootring.rings import FinRing, PeirceRing, mat_ring
 
 from oracles import quasi_inverse_oracle
@@ -99,6 +99,14 @@ def test_transvection_validation():
         transvection(R, 1, 1, (1,))
     with pytest.raises(BlockMismatch):
         transvection(R, 0, 1, (1, 0))
+
+
+def eval_st_word(R, word):
+    """Fold a sequence of (i, j, a) transvection letters with circle."""
+    acc = identity_unit(R)
+    for (i, j, a) in word:
+        acc = acc.circle(transvection(R, i, j, a))
+    return acc
 
 
 def test_eval_st_word():

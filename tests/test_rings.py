@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -8,21 +9,22 @@ from hypothesis import strategies as st
 
 from oracles import balanced_tensor_oracle
 from test_corpus_digests import annihilated_mat4
-from rootring.abelian import AbHom, DirectSum, FinAbGroup
+from rootring.abelian import (AbHom, DirectSum, FinAbGroup, Subgroup,
+                              TensorGroup, induced_map, induces_isomorphism,
+                              quotient)
 from rootring.corpus import (corrupted_matrix, grouped_entry, morita_entry,
                              standard_corpus, zero_entry)
 from rootring.errors import (InternalAlarm, NotIdempotent,
                              NotIdempotentFamily, NotWellDefined,
                              PreconditionFailed)
-from rootring.rings import (FinRing, LeftModule, PeirceHom, PeirceRing,
-                            RelTensor, RightModule, Table, bilinear_apply,
-                            check_predicates, collapse_rank, find_unit,
-                            is_firm, is_idempotent, is_reduced, mat_ring,
-                            morita_ring, nonassociative_triples,
+from rootring.rings import (ZERO_TABLE, FinRing, LeftModule, PeirceHom,
+                            PeirceRing, RelTensor, RightModule, Table,
+                            bilinear_apply, check_predicates, collapse_rank,
+                            find_unit, is_firm, is_idempotent, is_reduced,
+                            mat_ring, morita_ring, nonassociative_triples,
                             peirce_from_idempotents, reduced_quotient,
                             regroup, two_sided_annihilator, universal_ring)
-from rootring.rings import (_annihilator_blocks, _block_left_module,
-                            _block_right_module, _is_reduced_given)
+from rootring.rings import _annihilator_blocks, _is_reduced_given
 
 
 def test_zmod():
@@ -354,15 +356,63 @@ def test_predicates_on_zero_ring():
     assert rep.idempotent and rep.firm and rep.reduced
 
 
+# -- the balanced tensor of two modules, kept as a reference ----------------
+
+
+class _ModuleTensor:
+    """M (x)_S N for a right module M and a left module N over one ring S:
+    the Z-tensor of the groups modulo m (x) s.n - m.s (x) n on generator
+    triples, presented as a quotient.  The two-module tensor that
+    `RelTensor` replaced, kept as a reference: it writes out its own
+    relations."""
+
+    def __init__(self, left, right):
+        self.tensor = T = TensorGroup(left.group, right.group)
+        rows = [T.group.sub(T.pure(m, right.act(s, n)),
+                            T.pure(left.act(m, s), n))
+                for m in left.group.gens()
+                for s in left.ring.additive.gens()
+                for n in right.group.gens()]
+        self.quot = quotient(T.group, Subgroup(T.group, rows))
+        self.group = self.quot.group
+
+    def pure(self, m, n):
+        return self.quot.proj(self.tensor.pure(m, n))
+
+    def induced_hom(self, target, on_pure):
+        return induced_map(self.tensor.hom(target, on_pure), self.quot)
+
+
+def _diag_finring(R, j):
+    return FinRing(R.blocks[(j, j)], R.tables.get((j, j, j), ZERO_TABLE),
+                   modulus=R.modulus, check=False)
+
+
+def _block_right_module(R, i, j):
+    """R_ij as a right module over the diagonal ring R_jj."""
+    return RightModule(R.blocks[(i, j)], _diag_finring(R, j),
+                       R.tables.get((i, j, j), ZERO_TABLE), check=False)
+
+
+def _block_left_module(R, j, k):
+    """R_jk as a left module over the diagonal ring R_jj."""
+    return LeftModule(R.blocks[(j, k)], _diag_finring(R, j),
+                      R.tables.get((j, j, k), ZERO_TABLE), check=False)
+
+
 def _firm_by_balanced_tensor(R):
-    """is_firm written out as the balanced tensor presents it: per triple,
-    the quotient by the middle relations, the induced pairing map and its
-    isomorphism test."""
+    """is_firm written out as the two-module balanced tensor presents it:
+    per triple, the quotient by the middle relations, the induced pairing
+    map and its isomorphism test.  A product that is not well defined is
+    reported with its triple."""
     for i, j, k in product(range(R.rank), repeat=3):
-        t = RelTensor(_block_right_module(R, i, j),
-                      _block_left_module(R, j, k))
-        h = t.induced_hom(R.blocks[(i, k)],
-                          lambda x, y: R.block_mul(i, j, k, x, y))
+        t = _ModuleTensor(_block_right_module(R, i, j),
+                          _block_left_module(R, j, k))
+        try:
+            h = t.induced_hom(R.blocks[(i, k)],
+                              lambda x, y: R.block_mul(i, j, k, x, y))
+        except NotWellDefined as e:
+            raise NotWellDefined(str(e), witness=((i, j, k), e.witness))
         if not h.is_isomorphism():
             return False, (i, j, k)
     return True, None
@@ -398,12 +448,28 @@ def _firm_cases():
     return rings
 
 
+def _replay_firm_witness(R, witness):
+    """Check the triple of an is_firm witness ((i, j, k), row) once more
+    on its own one-summand balanced tensor; returns what that raises."""
+    (i, j, k), _row = witness
+    B = RelTensor({j: (R.blocks[(i, j)], R.blocks[(j, k)])},
+                  [(j, j, R.blocks[(j, j)], partial(R.block_mul, i, j, j),
+                    partial(R.block_mul, j, j, k))])
+    f = B.hom(R.blocks[(i, k)], {j: partial(R.block_mul, i, j, k)})
+    with pytest.raises(NotWellDefined) as e:
+        induces_isomorphism(f, B.relations)
+    return e.value.witness
+
+
 def test_is_firm_matches_the_balanced_tensor():
     seen = []
     for R in _firm_cases():
         got = _outcome(is_firm, R)
         assert got == _outcome(_firm_by_balanced_tensor, R), R
         seen.append(got[0])
+        if got[0] is NotWellDefined:
+            # the witness replays: its triple raises again with its row
+            assert _replay_firm_witness(R, got[2]) == got[2][1]
     # the order test meets passes, failures and products that are not
     # well defined on the balanced tensor; over Z/2 the bumped (0, 0, 1)
     # entry is 0, so that ring is not firm at (0, 0, 1) instead
@@ -501,36 +567,54 @@ def test_module_actions_reject_nonassociative():
 def test_tensor_over_ring_examples():
     # Z/4 over itself: balanced tensor collapses back to Z/4
     S = FinRing.zmod(4)
-    M = RightModule(S.additive, S, S.table)
-    N = LeftModule(S.additive, S, S.table)
-    t = RelTensor(M, N)
-    assert t.group.invariant_factors() == (4,)
-    h = t.induced_hom(S.additive, S.mul)
+    G = S.additive
+    t = RelTensor({0: (G, G)}, [(0, 0, G, S.mul, S.mul)])
+    assert t.quot.group.invariant_factors() == (4,)
+    h = t.induced_hom(G, {0: S.mul})
     assert h.is_isomorphism()
+    assert induces_isomorphism(t.hom(G, {0: S.mul}), t.relations)
     # zero action: nothing collapses beyond the Z-tensor
     G2 = FinAbGroup([2])
-    Mz = RightModule(G2, S, {})
-    Nz = LeftModule(G2, S, {})
-    tz = RelTensor(Mz, Nz)
-    assert tz.group.invariant_factors() == (2,)
+    tz = RelTensor({0: (G2, G2)}, [(0, 0, G, lambda m, s: G2.zero,
+                                    lambda s, n: G2.zero)])
+    assert tz.quot.group.invariant_factors() == (2,)
 
 
 def test_tensor_over_ring_matches_element_oracle():
     R = mat_ring(2, FinRing.zmod(4))
     i, j, k = 0, 1, 0
-    M = _block_right_module(R, i, j)
-    N = _block_left_module(R, j, k)
-    t = RelTensor(M, N)
+    M, N = R.blocks[(i, j)], R.blocks[(j, k)]
+    right_act = partial(R.block_mul, i, j, j)
+    left_act = partial(R.block_mul, j, j, k)
+    t = RelTensor({j: (M, N)}, [(j, j, R.blocks[(j, j)], right_act,
+                                 left_act)])
     oracle = balanced_tensor_oracle(
-        M.group, N.group, list(M.ring.additive.elements()),
-        M.act, N.act)
-    assert oracle.group.invariant_factors() == t.group.invariant_factors()
-    iso = t.induced_hom(oracle.group,
-                        lambda x, y: oracle.pure(x, y))
+        M, N, list(R.blocks[(j, j)].elements()), right_act, left_act)
+    assert oracle.group.invariant_factors() == \
+        t.quot.group.invariant_factors()
+    iso = t.induced_hom(oracle.group, {j: oracle.pure})
     assert iso.is_isomorphism()
-    for m in M.group.elements():
-        for n in N.group.elements():
-            assert iso(t.pure(m, n)) == oracle.pure(m, n)
+    for m in M.elements():
+        for n in N.elements():
+            assert iso(t.pure(j, m, n)) == oracle.pure(m, n)
+
+
+def test_rel_tensor_presents_its_quotient_on_first_use(monkeypatch):
+    import rootring.rings as rings_module
+    rings = [mat_ring(3, FinRing.zmod(2)), morita_entry().ring]
+    S = FinRing.zmod(4)
+    calls = []
+
+    def counted(G, H):
+        calls.append(G)
+        return quotient(G, H)
+    monkeypatch.setattr(rings_module, "quotient", counted)
+    for R in rings:
+        assert is_firm(R) == (True, None)
+    t = RelTensor({0: (S.additive, S.additive)},
+                  [(0, 0, S.additive, S.mul, S.mul)])
+    assert calls == []
+    assert t.quot is t.quot and len(calls) == 1
 
 
 def test_collapse_rank():
@@ -589,6 +673,134 @@ def test_universal_ring_on_firm_input():
     assert hom.is_ring_hom()
     assert hom.is_blockwise_iso()
     assert is_firm(U)[0]
+
+
+def _flat_strip_universal_ring(R):
+    """universal_ring as it was built before the blockwise balanced tensor:
+    every block R_ij is (row i) tensor_R (col j) over the whole flat ring,
+    row and column strips as modules over it.  Returns (ring, hom,
+    tensors), tensors[(i, j)] the `_ModuleTensor` behind block (i, j).
+    R must be idempotent."""
+    l = R.rank
+    total = R.as_finring()
+    G = total.additive
+
+    def strip(parts, side):
+        """The blocks `parts` of R summed into one group: the module it is
+        over the total ring acting on `side`, its inclusion into the total
+        ring (each generator embedded once) and the projection back."""
+        ds = DirectSum([R.blocks[ij] for ij in parts])
+        incl = AbHom(ds.group, G, [R.embed(*ij, g) for ij in parts
+                                   for g in R.blocks[ij].gens()])
+
+        def project(vec):
+            return ds.assemble([R.project(*ij, vec) for ij in parts])
+
+        if side == "right":
+            mod = RightModule(ds.group, total, {
+                (a, s): project(total.mul(x, g))
+                for a, x in enumerate(incl.cols)
+                for s, g in enumerate(G.gens())}, check=False)
+        else:
+            mod = LeftModule(ds.group, total, {
+                (s, a): project(total.mul(g, x))
+                for s, g in enumerate(G.gens())
+                for a, x in enumerate(incl.cols)}, check=False)
+        return mod, incl, project
+
+    row_mod, row_incl, row_proj = zip(*(
+        strip([(i, j) for j in range(l)], "right") for i in range(l)))
+    col_mod, col_incl, _ = zip(*(
+        strip([(i, j) for i in range(l)], "left") for j in range(l)))
+    tens = {(i, j): _ModuleTensor(row_mod[i], col_mod[j])
+            for i in range(l) for j in range(l)}
+    blocks = {ij: tens[ij].group for ij in tens}
+    sections = {ij: [t.quot.section(g) for g in t.group.gens()]
+                for ij, t in tens.items()}
+
+    # (x (x) y)(x2 (x) y2) = x (y x2) (x) y2, summed over the tensor
+    # coordinates of the sections of two generators
+    tables = {}
+    for i, j, k in product(range(l), repeat=3):
+        tij, tjk, tik = tens[(i, j)], tens[(j, k)], tens[(i, k)]
+        xs, ys, x2s = row_incl[i].cols, col_incl[j].cols, row_incl[j].cols
+        y2s = tjk.tensor.right.gens()
+        tab = {}
+        for a, ca in enumerate(sections[(i, j)]):
+            for b, cb in enumerate(sections[(j, k)]):
+                acc = tik.group.zero
+                for c1, (p1, p2) in zip(ca, tij.tensor.pairs):
+                    if not c1:
+                        continue
+                    for c2, (q1, q2) in zip(cb, tjk.tensor.pairs):
+                        if c2:
+                            x = row_proj[i](total.mul(xs[p1], total.mul(
+                                ys[p2], x2s[q1])))
+                            acc = tik.group.add(acc, tik.group.scale(
+                                c1 * c2, tik.pure(x, y2s[q2])))
+                tab[(a, b)] = acc
+        tables[(i, j, k)] = tab
+
+    out = PeirceRing(l, R.modulus, blocks, tables)
+    homs = {(i, j): t.induced_hom(
+        R.blocks[(i, j)], lambda x, y, i=i, j=j: R.project(
+            i, j, total.mul(row_incl[i](x), col_incl[j](y))))
+        for (i, j), t in tens.items()}
+    return out, PeirceHom(out, R, homs), tens
+
+
+def _left_ideal():
+    """A = M_2(F_2)e_11, the matrices over F_2 that vanish off the first
+    column, as (Z/2)^2 with (a, b)(c, d) = (ac, bc): a ring with no unit
+    whose matrix rings are idempotent, firm and reduced."""
+    A = FinRing(FinAbGroup([2, 2]), {(0, 0): (1, 0), (1, 0): (0, 1)})
+    assert find_unit(A) is None
+    return A
+
+
+def _blockwise_tensors(R):
+    """The balanced tensors behind the blocks of universal_ring(R), written
+    out again: block (i, j) sums R_ik (x) R_kj over k, modulo the relations
+    through every R_km.  Their quotients must be the blocks it built."""
+    idx = range(R.rank)
+    return {(i, j): RelTensor(
+        {k: (R.blocks[(i, k)], R.blocks[(k, j)]) for k in idx},
+        [(k, m, R.blocks[(k, m)], partial(R.block_mul, i, k, m),
+          partial(R.block_mul, k, m, j)) for k in idx for m in idx])
+        for i in idx for j in idx}
+
+
+def test_universal_ring_matches_the_flat_strip_construction():
+    rings = [e.ring for e in standard_corpus() if is_idempotent(e.ring)[0]]
+    assert len(rings) == 15
+    # at rank 1 the relations through R_00 are all there is; from rank 2 on
+    # those through R_kk follow from the others, as R_kk = R_km R_mk, and
+    # over A the rank-1 tensor A (x)_A A is smaller than A (x) A
+    for rank in (1, 4):
+        R = mat_ring(rank, _left_ideal())
+        rep = check_predicates(R)
+        assert rep.idempotent and rep.firm and rep.reduced
+        rings.append(R)
+    for R in rings:
+        U, can = universal_ring(R)
+        old, old_can, old_tens = _flat_strip_universal_ring(R)
+        # x (x) y in summand k of block (i, j) goes to the flat-strip tensor
+        # of x in row strip i and y in column strip j, both at place k
+        rows = [DirectSum([R.blocks[(i, m)] for m in range(R.rank)])
+                for i in range(R.rank)]
+        cols = [DirectSum([R.blocks[(m, j)] for m in range(R.rank)])
+                for j in range(R.rank)]
+        f = PeirceHom(U, old, {
+            (i, j): B.induced_hom(old.blocks[(i, j)], {
+                k: lambda x, y, i=i, j=j, k=k: old_tens[(i, j)].pure(
+                    rows[i].embed(k, x), cols[j].embed(k, y))
+                for k in range(R.rank)})
+            for (i, j), B in _blockwise_tensors(R).items()})
+        assert f.is_ring_hom() and f.is_blockwise_iso(), R
+        for ij, h in f.homs.items():
+            assert old_can.homs[ij].compose(h) == can.homs[ij], (R, ij)
+        assert can.is_ring_hom() and can.is_blockwise_iso()
+        assert is_firm(U) == (True, None)
 
 
 def test_universal_ring_requires_idempotent():
