@@ -615,9 +615,16 @@ class RelTensor:
         self.tensors = tensors
         self.ambient = amb = DirectSum([T.group for T in tensors.values()])
         self.pairs = pairs
-        self.relations = Subgroup(amb.group, [
-            amb.group.sub(amb.embed(self.pos(p), a), amb.embed(self.pos(q), b))
-            for (p, q), ps in pairs.items() for a, b in ps])
+        at = dict(zip(self.keys, amb.offsets))
+        rows = []
+        for (p, q), ps in pairs.items():
+            for a, b in ps:
+                row = [0] * amb.group.dim
+                row[at[p]:at[p] + len(a)] = a
+                for t, v in enumerate(b, at[q]):
+                    row[t] -= v
+                rows.append(row)
+        self.relations = Subgroup(amb.group, rows)
         self._quot = None
 
     def restrict(self, keys):
