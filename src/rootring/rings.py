@@ -615,13 +615,14 @@ class RelTensor:
         self.tensors = tensors
         self.ambient = amb = DirectSum([T.group for T in tensors.values()])
         self.pairs = pairs
-        at = dict(zip(self.keys, amb.offsets))
+        dim = amb.group.dim
         rows = []
         for (p, q), ps in pairs.items():
+            at, to = amb.offsets[self.pos(p)], amb.offsets[self.pos(q)]
             for a, b in ps:
-                row = [0] * amb.group.dim
-                row[at[p]:at[p] + len(a)] = a
-                for t, v in enumerate(b, at[q]):
+                row = [0] * dim
+                row[at:at + len(a)] = a
+                for t, v in enumerate(b, to):
                     row[t] -= v
                 rows.append(row)
         self.relations = Subgroup(amb.group, rows)
