@@ -63,8 +63,9 @@ print("E(mat_3_z2) has %d elements; GL_3(F_2) is simple of order 168"
 section("perfectness and center")
 cp = perfectness_and_center(R)
 print("every generator is a commutator of generators: %s" % cp.perfect)
-print("no nontrivial quasi-unit of the diagonal-free upper part acts")
-print("trivially on the roots: %d candidates, %d central violations, "
-      "action injective: %s" %
-      (cp.upper_size, len(cp.central_violations), cp.action_injective))
+print("upper unitriangular units 1 + x, one per strictly upper x: %d"
+      % cp.upper_size)
+print("central ones, the nonzero x in the kernel of x -> (xa - ax) over the")
+print("transvection letters a: %d; conjugation tells the units apart: %s" %
+      (len(cp.central_violations), cp.action_injective))
 print("all checks: %s" % cp.ok)

@@ -11,7 +11,7 @@ the role of the elementary linear group.
 from dataclasses import dataclass, field
 from functools import partial
 
-from .abelian import AbHom, TensorGroup
+from .abelian import AbHom, DirectSum, FinAbGroup, TensorGroup
 from .errors import (BlockMismatch, BoundExceeded, IndexClash, InternalAlarm,
                      NotIdempotent, NotQuasiInvertible, RankTooSmall)
 from .rings import is_idempotent
@@ -287,41 +287,46 @@ def elementary_subgroup(R, size_bound=2 ** 20):
 
 @dataclass
 class CenterPerfReport:
+    """What `perfectness_and_center` found.  `central_violations` is the
+    sorted list of the nonzero central x; when conjugation does not tell
+    the upper units apart, `action_witness` is (0, y) and 1 + y acts as
+    the identity does."""
     perfect: bool
     perfect_witness: object
     upper_size: int
     central_violations: list
-    action_injective: object
+    action_injective: bool
     action_witness: object
 
     @property
     def ok(self):
         return (self.perfect and not self.central_violations
-                and self.action_injective is not False)
+                and self.action_injective)
 
 
-def _upper_triangular_units(R):
-    """All circle-products of transvections from blocks (i, j) with i < j,
-    in lexicographic block order; for rank >= 2 each such product is
-    uniquely determined by its block components."""
-    blocks = [(i, j) for i in range(R.rank) for j in range(R.rank) if i < j]
-    units = [identity_unit(R)]
-    for (i, j) in blocks:
-        G = R.blocks[(i, j)]
-        units = [u.circle(transvection(R, i, j, a))
-                 for u in units for a in G.elements()]
-    return units
+def _commutant(R, incl, vals):
+    """The x in the source of `incl` whose image commutes with each of
+    `vals`: the kernel of the linear map x -> (xa - ax)_a."""
+    G = R.additive
+    out = DirectSum([G] * len(vals))
+    return AbHom(incl.source, out.group,
+                 [out.assemble([G.sub(R.mul(e, a), R.mul(a, e)) for a in vals])
+                  for e in incl.cols]).kernel()
 
 
-def perfectness_and_center(R, check_action=True):
-    """Certify commutator generation and poke at the center.
+def perfectness_and_center(R):
+    """Certify commutator generation, and that the upper unitriangular
+    units 1 + x (x in N, the sum of the blocks R_ij with i < j; one unit
+    per x, so `upper_size` is |N|) have trivial center and act faithfully.
 
     Every generator transvection t_ik(c) is rewritten as a product of
     commutators [t_ij(a), t_jk(b)] (possible because the ring is idempotent
     and the rank is at least 3) and the rewriting is verified by evaluation.
-    Every nonzero product of strictly upper triangular transvections is
-    checked to not commute with at least one generator, and optionally to
-    act differently from all the others on the ring.
+
+    1 + x commutes with the transvection at a exactly when xa = ax, so the
+    central x form the kernel K of x -> (xa - ax) over the transvection
+    letters a.  1 + x acts trivially exactly when x commutes with every
+    generator of R; that kernel lies in K, so it is computed only if K != 0.
     """
     if R.rank < 3:
         raise RankTooSmall("need rank at least 3")
@@ -355,32 +360,24 @@ def perfectness_and_center(R, check_action=True):
                     perfect = False
                     perfect_witness = (i, k, c, "product mismatch")
 
-    gens = [transvection(R, i, j, a)
-            for (i, j, a) in _transvection_letters(R, "generators")]
-    units = _upper_triangular_units(R)
-    central = []
-    for u in units:
-        if u.is_identity():
-            continue
-        if all(circ(R, u.value, g.value) == circ(R, g.value, u.value)
-               for g in gens):
-            central.append(u.value)
+    upper = [(i, j) for i in range(R.rank) for j in range(R.rank) if i < j]
+    N = FinAbGroup([o for ij in upper for o in R.blocks[ij].orders])
+    incl = AbHom(N, R.additive, [R.embed(i, j, g) for (i, j) in upper
+                                 for g in R.blocks[(i, j)].gens()])
+    K = _commutant(R, incl, [R.embed(i, j, a)
+                             for (i, j, a) in _transvection_letters(R)])
+    chart = K.as_group()
+    central = sorted(incl(chart.incl(e)) for e in chart.group.elements()
+                     if any(e))
 
-    action_injective = None
     action_witness = None
-    if check_action:
-        seen = {}
-        action_injective = True
-        for u in units:
-            key = tuple(u.act(g) for g in R.additive.gens())
-            if key in seen:
-                action_injective = False
-                action_witness = (seen[key], u.value)
-            else:
-                seen[key] = u.value
+    if central:
+        basis = _commutant(R, incl, R.additive.gens()).basis()
+        if basis:
+            action_witness = (R.additive.zero, incl(basis[0]))
 
     return CenterPerfReport(perfect=perfect, perfect_witness=perfect_witness,
-                            upper_size=len(units),
+                            upper_size=N.order,
                             central_violations=central,
-                            action_injective=action_injective,
+                            action_injective=action_witness is None,
                             action_witness=action_witness)

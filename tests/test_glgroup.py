@@ -1,7 +1,7 @@
 import pytest
 
 from rootring.abelian import FinAbGroup
-from rootring.corpus import corrupted_matrix, morita_entry
+from rootring.corpus import corrupted_matrix, grouped_entry, morita_entry
 from rootring.errors import (BlockMismatch, BoundExceeded, IndexClash,
                              NotIdempotent, NotQuasiInvertible, RankTooSmall)
 from rootring.glgroup import (QuasiUnit, SteinbergReport,
@@ -9,7 +9,7 @@ from rootring.glgroup import (QuasiUnit, SteinbergReport,
                               elementary_subgroup, identity_unit,
                               perfectness_and_center, quasi_inverse,
                               transvection, verify_steinberg)
-from rootring.rings import FinRing, PeirceRing, mat_ring
+from rootring.rings import FinRing, PeirceRing, check_predicates, mat_ring
 
 from oracles import quasi_inverse_oracle
 
@@ -320,3 +320,113 @@ def test_perfectness_preconditions():
         perfectness_and_center(mat_ring(2, FinRing.zmod(2)))
     with pytest.raises(NotIdempotent):
         perfectness_and_center(_zero_ring(3, 2))
+
+
+def _upper_triangular_units(R):
+    """All circle-products of transvections from blocks (i, j) with i < j,
+    in lexicographic block order; for rank >= 2 each such product is
+    uniquely determined by its block components."""
+    blocks = [(i, j) for i in range(R.rank) for j in range(R.rank) if i < j]
+    units = [identity_unit(R)]
+    for (i, j) in blocks:
+        G = R.blocks[(i, j)]
+        units = [u.circle(transvection(R, i, j, a))
+                 for u in units for a in G.elements()]
+    return units
+
+
+def _center_by_enumeration(R):
+    """(upper_size, central values, action_injective) by listing every
+    upper unitriangular unit: the reference for the two kernels of
+    `perfectness_and_center`."""
+    gens = [transvection(R, i, j, a)
+            for (i, j, a) in _transvection_letters(R, "generators")]
+    units = _upper_triangular_units(R)
+    central = set()
+    for u in units:
+        if u.is_identity():
+            continue
+        if all(circ(R, u.value, g.value) == circ(R, g.value, u.value)
+               for g in gens):
+            central.add(u.value)
+    seen = set()
+    injective = True
+    for u in units:
+        key = tuple(u.act(g) for g in R.additive.gens())
+        if key in seen:
+            injective = False
+        seen.add(key)
+    return len(units), central, injective
+
+
+def _band_algebra(rows, cols):
+    """The F_2-algebra of the rows x cols rectangular band: basis E_il
+    (i < rows, l < cols, row-major) with E_il E_jm = E_im.
+
+    Over the 2 x 2 band, E11 + E12 + E21 + E22 annihilates the algebra on
+    both sides.  Over the 1 x 2 band, E11 + E12 kills it from the left
+    only, and over the 2 x 1 band E11 + E21 from the right only."""
+    G = FinAbGroup([2] * (rows * cols))
+    table = {(i * cols + l, j * cols + m): G.gen(i * cols + m)
+             for i in range(rows) for l in range(cols)
+             for j in range(rows) for m in range(cols)}
+    return FinRing(G, table)
+
+
+_CENTER_RINGS = {
+    "mat3 z2": lambda: mat_ring(3, FinRing.zmod(2)),
+    "mat3 z3": lambda: mat_ring(3, FinRing.zmod(3)),
+    "mat3 z4": lambda: mat_ring(3, FinRing.zmod(4)),
+    "mat4 z2": lambda: mat_ring(4, FinRing.zmod(2)),
+    "grouped_5_z2_1x1x1x2":
+        lambda: grouped_entry(5, 2, [[0], [1], [2], [3, 4]]).ring,
+    "mat3 band 1x2": lambda: mat_ring(3, _band_algebra(1, 2)),
+    "mat3 band 2x1": lambda: mat_ring(3, _band_algebra(2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENTER_RINGS))
+def test_center_kernels_match_the_enumeration(name):
+    R = _CENTER_RINGS[name]()
+    rep = perfectness_and_center(R)
+    assert (rep.upper_size, set(rep.central_violations),
+            rep.action_injective) == _center_by_enumeration(R)
+    assert len(rep.central_violations) == len(set(rep.central_violations))
+
+
+def test_center_and_action_fail_over_a_non_reduced_algebra():
+    A = _band_algebra(2, 2)
+    z = (1, 1, 1, 1)
+    assert all(not any(A.mul(z, g)) and not any(A.mul(g, z))
+               for g in A.additive.gens())
+    R = mat_ring(3, A)
+    pr = check_predicates(R)
+    assert pr.idempotent and pr.firm and not pr.reduced
+    rep = perfectness_and_center(R)
+    assert rep.perfect and rep.upper_size == 4096
+    assert len(rep.central_violations) == 7
+    assert rep.central_violations == sorted(rep.central_violations)
+    assert rep.action_injective is False and not rep.ok
+    letters = [transvection(R, i, j, a)
+               for (i, j, a) in _transvection_letters(R)]
+    for x in rep.central_violations:
+        u = QuasiUnit(R, x)
+        assert all(u.circle(g) == g.circle(u) for g in letters)
+    zero, y = rep.action_witness
+    assert not any(zero) and any(y)
+    one, v = QuasiUnit(R, zero), QuasiUnit(R, y)
+    assert all(one.act(g) == v.act(g) for g in R.additive.gens())
+
+
+def test_center_builds_no_unit_per_element_of_the_upper_group(monkeypatch):
+    R = grouped_entry(6, 2, [[0], [1], [2], [3], [4, 5]]).ring
+    calls = []
+    init = QuasiUnit.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(QuasiUnit, "__init__", counted)
+    rep = perfectness_and_center(R)
+    assert rep.ok and rep.upper_size == 16384
+    assert len(calls) < 1000
