@@ -229,16 +229,15 @@ class AbHom:
 class Subgroup:
     """Subgroup of a FinAbGroup, generated by a list of elements.
 
-    Internally an integer lattice containing diag(orders), so equality of
-    subgroups is equality of Hermite bases.
+    Kept only as its Hermite basis: an integer lattice containing
+    diag(orders), so equality of subgroups is equality of Hermite bases.
     """
 
-    __slots__ = ("ambient", "gens", "lat")
+    __slots__ = ("ambient", "lat")
 
     def __init__(self, ambient, gens=()):
         self.ambient = ambient
-        self.gens = tuple(ambient.reduce(g) for g in gens)
-        self.lat = Lattice(list(ambient.orders), self.gens)
+        self.lat = Lattice(list(ambient.orders), gens)
 
     def contains(self, vec):
         return self.lat.contains(list(vec))
@@ -267,7 +266,7 @@ class Subgroup:
     def join(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        return Subgroup(self.ambient, self.gens + other.gens)
+        return Subgroup(self.ambient, self.lat.rows + other.lat.rows)
 
     def intersect(self, other):
         if other.ambient != self.ambient:
@@ -328,57 +327,33 @@ class GroupChart:
     coords: object
 
 
-def _present_quotient(k, rel_rows):
-    """Present Z^k / <rel_rows> (a finite group: the rows must have full
-    rank, e.g. by containing multiples of every e_i).
-
-    Returns (orders, proj, lift): `orders` lists the invariant factors > 1,
-    `proj` maps a length-k integer vector to quotient coordinates, `lift`
-    maps quotient coordinates to one integer preimage.
-    """
-    r = len(rel_rows)
-    if k == 0:
-        return (), (lambda lam: ()), (lambda q: [])
-    B = [[rel_rows[j][i] for j in range(r)] for i in range(k)]
-    S, U, _V, Uinv, _Vinv = smith_normal_form(B, transforms="Uu")
-    diag = [S[i][i] if i < min(k, r) else 0 for i in range(k)]
-    if any(d == 0 for d in diag):
-        raise ValueError("relation lattice does not have full rank")
-    kept = [i for i in range(k) if diag[i] > 1]
-    orders = [diag[i] for i in kept]
-
-    def proj(lam):
-        support = [(j, x) for j, x in enumerate(lam) if x]
-        return tuple(sum(U[i][j] * x for j, x in support) % diag[i]
-                     for i in kept)
-
-    def lift(q):
-        full = [0] * k
-        for pos, i in enumerate(kept):
-            full[i] = q[pos]
-        return [sum(Uinv[i][j] * full[j] for j in range(k)) for i in range(k)]
-
-    return orders, proj, lift
-
-
 @dataclass(frozen=True)
 class Quotient:
-    """G / H together with the projection and a canonical section."""
+    """G / H together with the projection and a canonical section.
+
+    `lifts[i]` is one preimage in G of the i-th generator of `group`."""
 
     group: FinAbGroup
     proj: AbHom
     subgroup: Subgroup
-    _lift: object
+    lifts: tuple
 
     def section(self, q):
         """Lexicographically least representative of the coset q."""
-        amb = self.proj.source
-        x = amb.reduce(self._lift(list(q)))
+        x = [0] * self.proj.source.dim
+        for c, col in zip(q, self.lifts):
+            if c:
+                for i, v in enumerate(col):
+                    x[i] += c * v
         return self.subgroup.reduce(x)
 
 
 def quotient(G, H):
     """Quotient of G by a Subgroup H of it.
+
+    With U B V = S for the Hermite rows of H as the columns of B, x -> U x
+    carries H onto the diagonal of S: the rows of U with a diagonal entry
+    above 1 give the projection, and the same columns of U^-1 the lifts.
 
     >>> G = FinAbGroup([4, 4])
     >>> q = quotient(G, Subgroup(G, [(2, 2)]))
@@ -387,10 +362,14 @@ def quotient(G, H):
     """
     if H.ambient != G:
         raise ValueError("subgroup of a different group")
-    orders, proj_lam, lift = _present_quotient(G.dim, H.lat.rows)
-    Q = FinAbGroup(orders)
-    proj = AbHom(G, Q, [Q.reduce(proj_lam(list(g))) for g in G.gens()])
-    return Quotient(group=Q, proj=proj, subgroup=H, _lift=lift)
+    k = G.dim
+    S, U, _V, Uinv, _Vinv = smith_normal_form(
+        [list(col) for col in zip(*H.lat.rows)], transforms="Uu")
+    kept = [i for i in range(k) if S[i][i] > 1]
+    Q = FinAbGroup([S[i][i] for i in kept])
+    proj = AbHom(G, Q, [[U[i][j] for i in kept] for j in range(k)])
+    lifts = tuple(G.reduce([row[i] for row in Uinv]) for i in kept)
+    return Quotient(group=Q, proj=proj, subgroup=H, lifts=lifts)
 
 
 def _require_kills(f, H):

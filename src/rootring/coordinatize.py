@@ -337,7 +337,7 @@ def _endo_certificates(D, endo):
     spans everything the other pairs contribute, and no nonzero element
     of the span acts trivially on any single index."""
     s = endo.s
-    all_gens = list(endo.span.gens)
+    all_gens = [g[3] for g in endo.generators]
     for i, j in permutations(endo.others, 2):
         if (i, j) == endo.base_pair:
             continue

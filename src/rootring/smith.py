@@ -6,7 +6,7 @@ eliminations.  `Lattice` keeps the Hermite basis of a lattice containing
 diag(mods), with entries bounded modulo the diagonal; every subgroup
 question goes through it, including `kernel_mod` and `solve_mod`, which
 read the graph lattice of a map.  `smith_normal_form` only presents
-quotients (`abelian._present_quotient`) and backs `solve_int`; each of its
+quotients (`abelian.quotient`) and backs `solve_int`; each of its
 elimination steps costs what the nonzeros of the pivot's row and column
 cost, so the sparse presentations with unit pivots that quotients produce
 stay cheap.
@@ -38,16 +38,6 @@ def xgcd(a, b):
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n = len(B)
-    assert all(len(row) == n for row in A)
-    p = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        out.append([sum(row[k] * B[k][j] for k in range(n)) for j in range(p)])
-    return out
 
 
 def mat_vec(A, x):
@@ -136,15 +126,6 @@ def smith_normal_form(M, transforms="UVuv"):
         if Vinv is not None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
-    def col_negate(i):
-        for row in S:
-            row[i] = -row[i]
-        if V is not None:
-            for row in V:
-                row[i] = -row[i]
-        if Vinv is not None:
-            Vinv[i] = [-a for a in Vinv[i]]
-
     def pivot_search(t):
         # the first entry of least absolute value; a unit is least, so the
         # first one met ends the scan
@@ -209,7 +190,7 @@ def smith_normal_form(M, transforms="UVuv"):
         if t < m and t < n and S[t][t] == 0:
             break  # the rest of the matrix is zero too
 
-    # assert mat_mul(mat_mul(U, M), V) == S  (exercised by the test suite)
+    # U M V == S is checked in tests/test_smith.py
     return S, U, V, Uinv, Vinv
 
 

@@ -6,7 +6,26 @@ exhaustive searches over whole rings.  Slow but obviously correct, which is
 the point.
 """
 
-from rootring.abelian import FinAbGroup, _present_quotient
+from rootring.abelian import FinAbGroup
+from rootring.smith import smith_normal_form
+
+
+def _present(k, rels):
+    """Z^k modulo the span of the rows `rels`, which must have full rank:
+    the invariant factors above 1 and the projection of a length-k vector
+    onto them, read from U in U B V = S for the rows as the columns of B."""
+    S, U, *_ = smith_normal_form([[v[i] for v in rels] for i in range(k)],
+                                 transforms="U")
+    diag = [S[i][i] if i < len(rels) else 0 for i in range(k)]
+    if 0 in diag:
+        raise ValueError("relation lattice does not have full rank")
+    kept = [i for i in range(k) if diag[i] > 1]
+
+    def proj(v):
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum(U[i][j] * x for j, x in support) % diag[i]
+                     for i in kept)
+    return [diag[i] for i in kept], proj
 
 
 def _free_pairs(ea, eb):
@@ -64,7 +83,7 @@ class PairsOracle:
         rels = _step_relations(A, B, ea, eb, pos, k)
         for v in extra_relations:
             rels.append(list(v))
-        orders, proj, _lift = _present_quotient(k, rels)
+        orders, proj = _present(k, rels)
         self.group = FinAbGroup(orders)
         self.pos = pos
         self.k = k

@@ -80,6 +80,14 @@ def test_subgroup_basics():
     assert Subgroup(G, []).is_trivial()
 
 
+def test_subgroup_rejects_generators_of_the_wrong_length():
+    G = FinAbGroup([2, 2])
+    with pytest.raises(ValueError):
+        Subgroup(G, [(1, 0, 1)])
+    with pytest.raises(ValueError):
+        Subgroup(G, [(1,)])
+
+
 @given(group_with_elements(4))
 def test_subgroup_reduce_is_coset_canonical(inst):
     G, elems = inst
@@ -108,6 +116,13 @@ def test_join_intersect_orders(inst):
     B = Subgroup(G, elems[2:])
     assert A.join(B).order() * A.intersect(B).order() == \
         A.order() * B.order()
+
+
+@given(group_with_elements(4))
+def test_join_is_the_span_of_both_generator_lists(inst):
+    G, elems = inst
+    assert Subgroup(G, elems[:2]).join(Subgroup(G, elems[2:])) == \
+        Subgroup(G, elems)
 
 
 def test_intersect_brute():
@@ -194,6 +209,8 @@ def test_quotient_and_section():
     H = Subgroup(G, [(2, 2)])
     q = quotient(G, H)
     assert q.group.order == 8
+    assert len(q.lifts) == q.group.dim
+    assert all(len(col) == G.dim for col in q.lifts)
     assert q.proj.is_surjective()
     assert q.proj.kernel() == H
     for x in G.elements():
@@ -203,12 +220,21 @@ def test_quotient_and_section():
         assert s == H.reduce(x)  # canonical representative
 
 
+def test_quotient_of_the_trivial_group():
+    G = FinAbGroup([])
+    q = quotient(G, Subgroup(G))
+    assert q.group.dim == 0 and q.lifts == ()
+    assert q.proj(()) == () and q.section(()) == ()
+
+
 @given(group_with_elements(3))
 def test_quotient_order(inst):
     G, elems = inst
     H = Subgroup(G, elems)
     q = quotient(G, H)
     assert q.group.order * H.order() == G.order
+    for x in itertools.islice(G.elements(), 64):
+        assert q.section(q.proj(x)) == H.reduce(x)
 
 
 def test_induced_map():
@@ -350,6 +376,8 @@ def test_smith_and_quotient_on_element_pair_presentations(oa, ob):
     H = Subgroup(G, rels)
     q = quotient(G, H)
     assert q.group.orders == want
+    assert len(q.lifts) == q.group.dim
+    assert all(len(col) == G.dim for col in q.lifts)
     for x in q.group.elements():
         assert q.proj(q.section(x)) == x
     rng = random.Random(k)

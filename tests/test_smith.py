@@ -3,11 +3,18 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootring.smith import (Lattice, identity_matrix, kernel_mod, mat_mul,
-                            mat_vec, smith_normal_form, solve_int, solve_mod,
-                            xgcd)
+from rootring.smith import (Lattice, identity_matrix, kernel_mod, mat_vec,
+                            smith_normal_form, solve_int, solve_mod, xgcd)
 
 small_int = st.integers(min_value=-16, max_value=16)
+
+
+def mat_mul(A, B):
+    n = len(B)
+    assert all(len(row) == n for row in A)
+    p = len(B[0]) if B else 0
+    return [[sum(row[k] * B[k][j] for k in range(n)) for j in range(p)]
+            for row in A]
 
 
 def matrices(max_dim=4):
