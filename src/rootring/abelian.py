@@ -340,6 +340,9 @@ class Quotient:
 
     def section(self, q):
         """Lexicographically least representative of the coset q."""
+        if len(q) != self.group.dim:
+            raise ValueError("coset of length %d in a quotient of dimension "
+                             "%d" % (len(q), self.group.dim))
         x = [0] * self.proj.source.dim
         for c, col in zip(q, self.lifts):
             if c:

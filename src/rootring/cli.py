@@ -9,13 +9,19 @@ Verbs:
     roundtrip     extract, rebuild, and certify the connecting isomorphism
     verify-lemmas run the structural verification suites on a ring file
 
-Verbs that produce a report print one row per check: name, status, witness
-and wall time.  `--json` switches the report to a machine-readable body
-with the same fields (for roundtrip it also carries the generator matrices
-of the connecting block maps), `--no-timestamp` drops the timestamp and
-the wall times so that identical inputs give byte-identical output.  Verbs
-that produce a data file (build, extract, coordinatize) print it to
-stdout, or write it to `--output` and print the report instead.
+Every verb but build prints a report on stdout: a header, one row per check
+(name, status, witness and wall time) and, for roundtrip, whether the rings
+are isomorphic.  The report is printed whether the verb succeeds or a check
+stops it, except that extract and coordinatize without `--output` print
+their data file to stdout instead (build always prints or writes its file,
+with no report).  An input that cannot be read, is not text, or is not a
+ring file where the verb needs one gets no report, only the error.
+
+Text rows stream: each is printed as its check finishes.  `--json` prints
+the report once at the end, as a machine-readable body with the same fields
+(for roundtrip it also carries the generator matrices of the connecting
+block maps).  `--no-timestamp` drops the timestamp and the wall times so
+that identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 input/output trouble, 2 precondition violated,
 3 mathematical check failed, 4 internal consistency alarm.
@@ -38,8 +44,7 @@ from .commrel import (_firm_rel, _reduced_rel, check_K_linear,
                       check_idempotent_rel, extract)
 from .coordinatize import (_construct, connecting_hom, rebuild_gates,
                            verify_associativity_patterns)
-from .corpus import (grouped_entry, is_full_idempotent, morita_entry,
-                     standard_corpus)
+from .corpus import is_full_idempotent, morita_entry, standard_corpus
 from .errors import (BoundExceeded, FileFormatError, InternalAlarm,
                      InvalidParams, MathCheckFailed, PreconditionFailed,
                      RankTooSmall, RootRingError)
@@ -49,12 +54,12 @@ from .glgroup import perfectness_and_center, verify_steinberg
 from .rings import (FinRing, _is_reduced_given, check_predicates,
                     check_rank, collapse_rank, find_unit, is_firm,
                     is_idempotent, is_reduced, mat_ring, reduced_quotient,
-                    universal_ring)
+                    regroup, universal_ring)
 
 SCHEMA = "rootring-report/1"
 
-_EXIT = {FileFormatError: 1, PreconditionFailed: 2, MathCheckFailed: 3,
-         InternalAlarm: 4, BoundExceeded: 2}
+_EXIT = {FileFormatError: 1, OSError: 1, PreconditionFailed: 2,
+         MathCheckFailed: 3, InternalAlarm: 4, BoundExceeded: 2}
 
 
 def _exit_for(e):
@@ -84,22 +89,51 @@ def _fail_info(e):
 
 
 class Reporter:
-    """Accumulates check rows and renders them as text or JSON."""
+    """Records check rows and prints the report to `out`, if given: in
+    text, the header at once and each row as it is added; in JSON, one
+    body when the report is finished."""
 
-    def __init__(self, verb, options=None, path=None, data=None):
+    def __init__(self, verb, options, path, data, json_mode, timestamp,
+                 out):
         self.verb = verb
-        self.options = options or {}
+        self.options = options
         self.path = path
-        self.digest = None if data is None else \
-            hashlib.sha256(data).hexdigest()
+        self.digest = hashlib.sha256(data).hexdigest()
+        self.json = json_mode
+        self.timestamp = timestamp
+        self.out = out
         self.checks = []
         self.extra = {}
         self.worst = 0
+        lines = ["rootring %s %s" % (__version__, verb),
+                 "input: %s sha256=%s" % (path, self.digest)]
+        if self.options:
+            lines.append("options: " + " ".join(
+                "%s=%s" % kv for kv in sorted(self.options.items())))
+        if timestamp is not None:
+            lines.append("timestamp: %s" % timestamp)
+        self._print(lines)
 
-    def add(self, name, status, witness=None, seconds=0.0):
+    def _print(self, lines):
+        if self.out is not None and not self.json:
+            self.out.write("".join(line + "\n" for line in lines))
+            self.out.flush()
+
+    def add(self, name, status, witness=None, seconds=0.0, code=3):
+        """Record and print a row; a fail row raises the exit code to
+        `code`."""
         self.checks.append(
             {"name": name, "status": status, "witness": witness,
              "seconds": seconds})
+        if status == "fail":
+            self.worst = max(self.worst, code)
+        row = "check %s: %s" % (name, status)
+        if self.timestamp is not None:
+            row += " [%.3fs]" % seconds
+        if witness is not None:
+            row += "  " + (witness if isinstance(witness, str)
+                           else repr(witness))
+        self._print([row])
 
     def run(self, name, fn, describe=None):
         """Time an operation; a RootRingError becomes a fail row and
@@ -108,42 +142,33 @@ class Reporter:
         try:
             out = fn()
         except RootRingError as e:
-            self.add(name, "fail", _fail_info(e), time.perf_counter() - t0)
-            self.worst = max(self.worst, _exit_for(e))
+            self.add(name, "fail", _fail_info(e), time.perf_counter() - t0,
+                     _exit_for(e))
             raise
         note = describe(out) if describe else None
         self.add(name, "pass", note, time.perf_counter() - t0)
         return out
 
-    def gate(self, name, fn, exc=MathCheckFailed, note=None):
-        """Time a (bool, witness) predicate; failure raises `exc`."""
+    def check(self, name, fn, exc=None):
+        """Time a (bool, witness) predicate and record it; returns both.
+        A failure raises `exc`, if given, and else only sets exit code 3."""
         t0 = time.perf_counter()
         ok, wit = fn()
         dt = time.perf_counter() - t0
-        if ok:
-            self.add(name, "pass", note, dt)
-            return
-        self.add(name, "fail", wit, dt)
-        self.worst = max(self.worst, _EXIT[exc] if exc in _EXIT else 3)
+        if ok or exc is None:
+            self.flag(name, ok, wit, seconds=dt)
+            return ok, wit
         msg = "check %s failed at %r" % (name, wit)
-        raise exc(msg, wit) if issubclass(exc, (MathCheckFailed,
+        err = exc(msg, wit) if issubclass(exc, (MathCheckFailed,
                                                 InternalAlarm)) else exc(msg)
+        self.add(name, "fail", wit, dt, _exit_for(err))
+        raise err
 
     def flag(self, name, ok, witness=None, note=None, seconds=0.0):
         """Record a bool check without interrupting the pipeline."""
-        if ok:
-            self.add(name, "pass", note, seconds)
-        else:
-            self.add(name, "fail",
-                     witness if witness is not None else note, seconds)
-            self.worst = max(self.worst, 3)
-
-    def timed_flag(self, name, fn):
-        """Time a (bool, witness) predicate and flag it; returns both."""
-        t0 = time.perf_counter()
-        ok, wit = fn()
-        self.flag(name, ok, wit, seconds=time.perf_counter() - t0)
-        return ok, wit
+        if ok or witness is None:
+            witness = note
+        self.add(name, "pass" if ok else "fail", witness, seconds)
 
     def soft(self, name, fn):
         """Run a suite returning (ok-or-None-for-skip, note); exceptions
@@ -152,59 +177,41 @@ class Reporter:
         try:
             ok, note = fn()
         except RootRingError as e:
-            self.add(name, "fail", _fail_info(e), time.perf_counter() - t0)
-            self.worst = max(self.worst, _exit_for(e))
+            self.add(name, "fail", _fail_info(e), time.perf_counter() - t0,
+                     _exit_for(e))
             return
-        dt = time.perf_counter() - t0
-        if ok is None:
-            self.add(name, "skip", note, dt)
-        else:
-            self.flag(name, ok, witness=note, note=note, seconds=dt)
+        status = "skip" if ok is None else "pass" if ok else "fail"
+        self.add(name, status, note, time.perf_counter() - t0)
 
-    def render(self, json_mode, timestamp):
-        show_times = timestamp is not None
-        if json_mode:
-            body = {
-                "schema": SCHEMA,
-                "tool": {"name": "rootring", "version": __version__},
-                "verb": self.verb,
-                "options": _jsonable(self.options),
-                "checks": [
-                    {"name": c["name"], "status": c["status"],
-                     "witness": _jsonable(c["witness"]),
-                     "wall_time": round(c["seconds"], 6) if show_times
-                     else None}
-                    for c in self.checks],
-                "exit": self.worst,
-            }
-            if self.path is not None:
-                body["input"] = {"path": self.path, "sha256": self.digest}
-            if timestamp is not None:
-                body["timestamp"] = timestamp
-            for k, v in self.extra.items():
-                body[k] = _jsonable(v)
-            return json.dumps(body, sort_keys=True, indent=2) + "\n"
-        lines = ["rootring %s %s" % (__version__, self.verb)]
-        if self.path is not None:
-            lines.append("input: %s sha256=%s" % (self.path, self.digest))
-        if self.options:
-            lines.append("options: " + " ".join(
-                "%s=%s" % kv for kv in sorted(self.options.items())))
-        if timestamp is not None:
-            lines.append("timestamp: %s" % timestamp)
-        for c in self.checks:
-            row = "check %s: %s" % (c["name"], c["status"])
-            if show_times:
-                row += " [%.3fs]" % c["seconds"]
-            if c["witness"] is not None:
-                w = c["witness"]
-                row += "  " + (w if isinstance(w, str) else repr(w))
-            lines.append(row)
-        for k, v in sorted(self.extra.items()):
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append("%s: %s" % (k, v))
-        return "\n".join(lines) + "\n"
+    def finish(self):
+        """Print what streaming has not: the extras, or the JSON body."""
+        if self.out is None:
+            return
+        if not self.json:
+            self._print(["%s: %s" % (k, ("true" if v else "false")
+                                     if isinstance(v, bool) else v)
+                         for k, v in sorted(self.extra.items())])
+            return
+        show_times = self.timestamp is not None
+        body = {
+            "schema": SCHEMA,
+            "tool": {"name": "rootring", "version": __version__},
+            "verb": self.verb,
+            "options": _jsonable(self.options),
+            "input": {"path": self.path, "sha256": self.digest},
+            "checks": [
+                {"name": c["name"], "status": c["status"],
+                 "witness": _jsonable(c["witness"]),
+                 "wall_time": round(c["seconds"], 6) if show_times
+                 else None}
+                for c in self.checks],
+            "exit": self.worst,
+        }
+        if show_times:
+            body["timestamp"] = self.timestamp
+        for k, v in self.extra.items():
+            body[k] = _jsonable(v)
+        self.out.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -224,20 +231,6 @@ def _decode(raw, path):
 def _kind_of(text):
     head = text.split(None, 1)
     return head[0] if head else ""
-
-
-def _emit(args, text, rep=None, timestamp=None):
-    """Data-producing verbs: file to --output plus the report, if the verb
-    has one, to stdout, or the data itself to stdout when no output path
-    is given."""
-    if not args.output:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        if rep is not None:
-            sys.stdout.write(rep.render(args.json, timestamp))
-    return 0 if rep is None else rep.worst
 
 
 # -- build ---------------------------------------------------------------------
@@ -306,7 +299,7 @@ def cmd_build(args):
         if len(params) < 3:
             raise InvalidParams("missing partition, e.g. \"1|2|3|45\"")
         parts = _parse_partition(params[2], size)
-        R = grouped_entry(size, modulus, parts).ring
+        R = regroup(mat_ring(size, FinRing.zmod(modulus)), parts)
     elif kind == "morita":
         R = morita_entry().ring
     elif kind == "file":
@@ -315,60 +308,36 @@ def cmd_build(args):
         R = read_ring(params[0])
     else:
         raise InvalidParams("unknown build kind %r" % kind)
-    return _emit(args, dump_ring(R))
+    return dump_ring(R)
 
 
 # -- check ---------------------------------------------------------------------
 
-def cmd_check(args, timestamp):
-    raw = _read_bytes(args.input)
-    rep = Reporter("check", path=args.input, data=raw)
-    text = _decode(raw, args.input)
-    try:
-        if _kind_of(text) == "commrel":
-            D = rep.run("load", lambda: load_commrel(text),
-                        lambda D: "rank=%d modulus=%d" % (D.rank, D.modulus))
-            rep.timed_flag("k-linear", lambda: check_K_linear(D))
-            ok, _ = rep.timed_flag("idempotent-rel",
-                                   lambda: check_idempotent_rel(D))
-            if ok:
-                rep.timed_flag("firm-rel", lambda: _firm_rel(D))
-                rep.timed_flag("reduced-rel", lambda: _reduced_rel(D))
-            else:
-                rep.add("firm-rel", "skip", "data is not idempotent")
-                rep.add("reduced-rel", "skip", "data is not idempotent")
+def _load_ring(rep, text):
+    return rep.run("load", lambda: load_ring(text),
+                   lambda R: "rank=%d modulus=%d order=%d"
+                   % (R.rank, R.modulus, R.additive.order))
+
+
+def cmd_check(args, rep, text):
+    if _kind_of(text) == "commrel":
+        _, D = _load_data(rep, text)
+        rep.check("k-linear", lambda: check_K_linear(D))
+        ok, _ = rep.check("idempotent-rel", lambda: check_idempotent_rel(D))
+        if ok:
+            rep.check("firm-rel", lambda: _firm_rel(D))
+            rep.check("reduced-rel", lambda: _reduced_rel(D))
         else:
-            R = rep.run("load", lambda: load_ring(text),
-                        lambda R: "rank=%d modulus=%d order=%d"
-                        % (R.rank, R.modulus, R.additive.order))
-            idem = rep.timed_flag("idempotent", lambda: is_idempotent(R))
-            rep.timed_flag("firm", lambda: is_firm(R))
-            rep.timed_flag("reduced", lambda: _is_reduced_given(R, idem))
-    except RootRingError:
-        sys.stdout.write(rep.render(args.json, timestamp))
-        raise
-    sys.stdout.write(rep.render(args.json, timestamp))
-    return rep.worst
+            rep.add("firm-rel", "skip", "data is not idempotent")
+            rep.add("reduced-rel", "skip", "data is not idempotent")
+    else:
+        R = _load_ring(rep, text)
+        idem = rep.check("idempotent", lambda: is_idempotent(R))
+        rep.check("firm", lambda: is_firm(R))
+        rep.check("reduced", lambda: _is_reduced_given(R, idem))
 
 
-# -- extract -------------------------------------------------------------------
-
-def cmd_extract(args, timestamp):
-    raw = _read_bytes(args.input)
-    rep = Reporter("extract", path=args.input, data=raw)
-    text = _decode(raw, args.input)
-    if _kind_of(text) != "peirce":
-        raise FileFormatError("extract needs a ring file")
-    R = rep.run("load", lambda: load_ring(text),
-                lambda R: "rank=%d modulus=%d" % (R.rank, R.modulus))
-    D = rep.run("extract", lambda: extract(R),
-                lambda D: "%d modules, %d maps"
-                % (len(D.modules), len(D.cmaps)))
-    rep.timed_flag("k-linear", lambda: check_K_linear(D))
-    return _emit(args, dump_commrel(D), rep, timestamp)
-
-
-# -- coordinatize and roundtrip --------------------------------------------------
+# -- extract, coordinatize and roundtrip ----------------------------------------
 
 def _load_data(rep, text):
     """Ring files are extracted on the fly; commrel files load directly.
@@ -383,6 +352,12 @@ def _load_data(rep, text):
     D = rep.run("load", lambda: load_commrel(text),
                 lambda D: "rank=%d modulus=%d" % (D.rank, D.modulus))
     return None, D
+
+
+def cmd_extract(args, rep, text):
+    _, D = _load_data(rep, text)
+    rep.check("k-linear", lambda: check_K_linear(D))
+    return dump_commrel(D)
 
 
 # rows certifying each construction: name, its verdicts read off the
@@ -409,8 +384,8 @@ def _rebuild(rep, D, mode):
         return D.rank
     rep.run("rank", rank_gate, lambda r: "rank=%d" % r)
     for name, _prop, check in rebuild_gates(D, mode):
-        rep.gate(name, check, exc=PreconditionFailed if name == "k-linear"
-                 else MathCheckFailed)
+        rep.check(name, check, PreconditionFailed if name == "k-linear"
+                  else MathCheckFailed)
     res = rep.run("coordinatize-" + mode, lambda: _construct(D, mode),
                   lambda res: "diagonal orders %r"
                   % [res.ring.blocks[(s, s)].order for s in range(D.rank)])
@@ -431,48 +406,25 @@ def _rebuild(rep, D, mode):
     return res
 
 
-def cmd_coordinatize(args, timestamp):
-    raw = _read_bytes(args.input)
-    rep = Reporter("coordinatize", {"mode": args.mode},
-                   path=args.input, data=raw)
-    text = _decode(raw, args.input)
-    try:
-        _, D = _load_data(rep, text)
-        res = _rebuild(rep, D, args.mode)
-    except RootRingError:
-        if args.output:
-            sys.stdout.write(rep.render(args.json, timestamp))
-        raise
-    return _emit(args, dump_ring(res.ring), rep, timestamp)
+def cmd_coordinatize(args, rep, text):
+    _, D = _load_data(rep, text)
+    return dump_ring(_rebuild(rep, D, args.mode).ring)
 
 
-def cmd_roundtrip(args, timestamp):
-    raw = _read_bytes(args.input)
-    rep = Reporter("roundtrip", {"mode": args.mode},
-                   path=args.input, data=raw)
-    text = _decode(raw, args.input)
-    if _kind_of(text) != "peirce":
-        raise FileFormatError("roundtrip needs a ring file")
-    try:
-        R, D = _load_data(rep, text)
-        res = _rebuild(rep, D, args.mode)
-        conn = rep.run("connecting-hom",
-                       lambda: connecting_hom(D, res, R),
-                       lambda c: "%d block maps" % len(c.hom.homs))
-        bad = sorted(k for k, v in conn.bijective.items() if not v)
-        rep.flag("blockwise-bijective", conn.is_isomorphism, witness=bad,
-                 note="%d blocks" % len(conn.bijective))
-        rep.extra["isomorphic"] = conn.is_isomorphism
-        if args.json:
-            rep.extra["block_maps"] = {
-                "(%d, %d)" % ij: h.matrix()
-                for ij, h in sorted(conn.hom.homs.items())}
-    except RootRingError:
-        rep.extra["isomorphic"] = False
-        sys.stdout.write(rep.render(args.json, timestamp))
-        raise
-    sys.stdout.write(rep.render(args.json, timestamp))
-    return rep.worst
+def cmd_roundtrip(args, rep, text):
+    rep.extra["isomorphic"] = False
+    R, D = _load_data(rep, text)
+    res = _rebuild(rep, D, args.mode)
+    conn = rep.run("connecting-hom", lambda: connecting_hom(D, res, R),
+                   lambda c: "%d block maps" % len(c.hom.homs))
+    bad = sorted(k for k, v in conn.bijective.items() if not v)
+    rep.flag("blockwise-bijective", conn.is_isomorphism, witness=bad,
+             note="%d blocks" % len(conn.bijective))
+    rep.extra["isomorphic"] = conn.is_isomorphism
+    if args.json:
+        rep.extra["block_maps"] = {
+            "(%d, %d)" % ij: h.matrix()
+            for ij, h in sorted(conn.hom.homs.items())}
 
 
 # -- verify-lemmas ----------------------------------------------------------------
@@ -631,24 +583,11 @@ _SUITES = (
 )
 
 
-def cmd_verify_lemmas(args, timestamp):
-    raw = _read_bytes(args.input)
-    rep = Reporter("verify-lemmas", path=args.input, data=raw)
-    text = _decode(raw, args.input)
-    if _kind_of(text) != "peirce":
-        raise FileFormatError("verify-lemmas needs a ring file")
-    try:
-        R = rep.run("load", lambda: load_ring(text),
-                    lambda R: "rank=%d modulus=%d order=%d"
-                    % (R.rank, R.modulus, R.additive.order))
-    except RootRingError:
-        sys.stdout.write(rep.render(args.json, timestamp))
-        raise
+def cmd_verify_lemmas(args, rep, text):
+    R = _load_ring(rep, text)
     facts = _Facts(R)
     for name, suite in _SUITES:
         rep.soft(name, lambda suite=suite: suite(R, facts))
-    sys.stdout.write(rep.render(args.json, timestamp))
-    return rep.worst
 
 
 # -- corpus seeding ---------------------------------------------------------------
@@ -732,11 +671,20 @@ def _parser():
     return p
 
 
+# verbs that report: each records its rows on the Reporter and returns the
+# data file it produces, if any
+_VERBS = {"check": cmd_check, "extract": cmd_extract,
+          "coordinatize": cmd_coordinatize, "roundtrip": cmd_roundtrip,
+          "verify-lemmas": cmd_verify_lemmas}
+_RING_INPUT = ("extract", "roundtrip", "verify-lemmas")
+
+
 def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
     timestamp = None if args.no_timestamp else \
         datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    rep = error = None
     try:
         if args.seed_corpus is not None:
             code = _seed_corpus(args.seed_corpus)
@@ -750,22 +698,32 @@ def main(argv=None):
             if not os.path.isdir(parent):
                 raise OSError("output directory does not exist: %s" % parent)
         if args.verb == "build":
-            return cmd_build(args)
-        if args.verb == "check":
-            return cmd_check(args, timestamp)
-        if args.verb == "extract":
-            return cmd_extract(args, timestamp)
-        if args.verb == "coordinatize":
-            return cmd_coordinatize(args, timestamp)
-        if args.verb == "roundtrip":
-            return cmd_roundtrip(args, timestamp)
-        return cmd_verify_lemmas(args, timestamp)
-    except (FileFormatError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except RootRingError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return _exit_for(e)
+            data = cmd_build(args)
+        else:
+            raw = _read_bytes(args.input)
+            text = _decode(raw, args.input)
+            if args.verb in _RING_INPUT and _kind_of(text) != "peirce":
+                raise FileFormatError("%s needs a ring file" % args.verb)
+            # the report goes to stdout unless the data file does
+            shown = out or not hasattr(args, "output")
+            rep = Reporter(args.verb, {"mode": args.mode}
+                           if hasattr(args, "mode") else {},
+                           args.input, raw, args.json, timestamp,
+                           sys.stdout if shown else None)
+            data = _VERBS[args.verb](args, rep, text)
+        if out:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(data)
+        elif data is not None:
+            sys.stdout.write(data)
+    except (RootRingError, OSError) as e:
+        error = e
+    if rep is not None:
+        rep.finish()
+    if error is None:
+        return 0 if rep is None else rep.worst
+    print("error: %s" % error, file=sys.stderr)
+    return _exit_for(error)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ from .errors import (BlockMismatch, BoundExceeded, InternalAlarm,
 # cold process (two-core Xeon, Python 3.11), and on a rank-60 file with
 # empty blocks `check` takes 16 s.  `build grouped` merges the blocks of
 # mat_ring(size, Z/n) through `regroup`, so it costs what the size^2 blocks
-# cost: with one-index parts 0.5-0.6 s at size 12 and 1.2-1.6 s at size 16.
+# cost: with one-index parts 0.13-0.16 s at size 12 and 0.17-0.28 s at
+# size 16.
 MAX_RANK = 16
 
 

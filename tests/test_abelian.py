@@ -218,6 +218,9 @@ def test_quotient_and_section():
         s = q.section(c)
         assert q.proj(s) == c
         assert s == H.reduce(x)  # canonical representative
+    for wrong in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            q.section(wrong)
 
 
 def test_quotient_of_the_trivial_group():

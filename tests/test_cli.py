@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from rootring import cli, commrel, coordinatize, rings
+from rootring import __version__, cli, commrel, coordinatize, rings
 from rootring.abelian import FinAbGroup
 from rootring.cli import main
 from rootring.commrel import CommRelData, all_roots
-from rootring.corpus import standard_corpus, zero_entry
-from rootring.fileformat import dump_commrel, load_ring, write_ring
+from rootring.corpus import corrupted_matrix, standard_corpus, zero_entry
+from rootring.fileformat import dump_commrel, dump_ring, load_ring, \
+    write_ring
 from rootring.rings import FinRing, mat_ring
 
 
@@ -349,11 +350,58 @@ def test_verify_lemmas_derives_each_fact_once(tmp_path, monkeypatch,
     assert data == {"extract": 1}
 
 
+def test_text_rows_stream_as_each_check_finishes(tmp_path, monkeypatch,
+                                                 capsys):
+    p = _write(tmp_path, "m.ring", mat_ring(2, FinRing.zmod(2)))
+    seen = []
+
+    def probe(_R, _facts):
+        seen.append(capsys.readouterr().out)
+        return True, "probe"
+
+    monkeypatch.setattr(cli, "_SUITES", (cli._SUITES[0], ("probe", probe)))
+    assert main(["--no-timestamp", "verify-lemmas", p]) == 0
+    assert seen[0].startswith("rootring %s verify-lemmas\n" % __version__)
+    assert seen[0].endswith("check full-idem: pass  idempotent=True "
+                            "firm=True reduced=True full=True\n")
+    assert capsys.readouterr().out == "check probe: pass  probe\n"
+    # a JSON body is printed once, at the end
+    assert main(["--json", "--no-timestamp", "verify-lemmas", p]) == 0
+    assert seen[1] == ""
+    body = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in body["checks"]] == ["load", "full-idem",
+                                                   "probe"]
+
+
+@pytest.mark.parametrize("verb, output", [
+    ("check", False), ("extract", False), ("extract", True),
+    ("coordinatize", False), ("coordinatize", True), ("roundtrip", False),
+    ("verify-lemmas", False)])
+@pytest.mark.parametrize("ring, code", [("mat_4_z2", 0), ("corrupted", 2)])
+def test_report_is_printed_unless_stdout_carries_the_data(
+        tmp_path, capsys, verb, output, ring, code):
+    R = mat_ring(4, FinRing.zmod(2)) if ring == "mat_4_z2" else \
+        corrupted_matrix(4, 2)
+    p = tmp_path / "in.ring"
+    p.write_text(dump_ring(R))
+    argv = ["--no-timestamp", verb, str(p)]
+    if verb in ("coordinatize", "roundtrip"):
+        argv += ["--mode", "firm"]
+    if output:
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    data_on_stdout = verb in ("extract", "coordinatize") and not output
+    assert out.startswith("rootring %s %s\n" % (__version__, verb)) \
+        is not data_on_stdout
+    if data_on_stdout:
+        kind = "commrel" if verb == "extract" else "peirce"
+        assert out.startswith(kind) if code == 0 else out == ""
+
+
 def test_verify_lemmas_catches_corruption(tmp_path, capsys):
-    from rootring.corpus import corrupted_matrix
     ring = corrupted_matrix(4, 2)
     p = tmp_path / "bad.ring"
-    from rootring.fileformat import dump_ring
     p.write_text(dump_ring(ring))
     # the file no longer loads: construction-time associativity rejects it
     assert main(["--no-timestamp", "verify-lemmas", str(p)]) == 2
