@@ -159,8 +159,7 @@ class Reporter:
             self.flag(name, ok, wit, seconds=dt)
             return ok, wit
         msg = "check %s failed at %r" % (name, wit)
-        err = exc(msg, wit) if issubclass(exc, (MathCheckFailed,
-                                                InternalAlarm)) else exc(msg)
+        err = exc(msg, wit) if issubclass(exc, MathCheckFailed) else exc(msg)
         self.add(name, "fail", wit, dt, _exit_for(err))
         raise err
 
